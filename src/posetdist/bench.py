@@ -14,11 +14,11 @@ import io
 import time
 from dataclasses import dataclass, field
 
-from .clique import dmces_via_clique
 from .errors import SolverDisagreement
 from .fileio import graph_to_json
 from .generate import generate_instance
-from .solvers import Solver, dmces_alg1, dmces_alg2, dmces_alg3, dmces_bruteforce
+from .metric import solve
+from .solvers import Solver
 
 _SOLVERS_BY_KIND = {
     "wso": (Solver.BRUTE, Solver.ALG1, Solver.CLIQUE),
@@ -27,14 +27,6 @@ _SOLVERS_BY_KIND = {
 }
 _BRUTE_LIMIT = 10  # nodes; beyond this the oracle is skipped
 _CLIQUE_LIMIT = 400  # |D| * |D'|; beyond this the clique route is skipped
-
-_RUNNERS = {
-    Solver.BRUTE: dmces_bruteforce,
-    Solver.ALG1: dmces_alg1,
-    Solver.ALG2: dmces_alg2,
-    Solver.ALG3: dmces_alg3,
-    Solver.CLIQUE: dmces_via_clique,
-}
 
 CSV_FIELDS = ("solver", "n_nodes", "n_edges", "value", "elapsed_ms", "agree")
 
@@ -79,7 +71,7 @@ def bench_harness(config: BenchConfig) -> list[dict]:
                 ):
                     continue
                 start = time.perf_counter()
-                outcome = _RUNNERS[solver](g, g2)
+                outcome = solve(g, g2, solver)
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
                 values[solver] = outcome.value
                 trial_rows.append(

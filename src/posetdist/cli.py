@@ -15,7 +15,7 @@ from . import fileio
 from .bench import BenchConfig, bench_harness, rows_to_csv
 from .clique import mcis
 from .core import validate_properties
-from .errors import PosetDistError, ValidationError
+from .errors import PosetDistError
 from .generate import KINDS, generate_instance
 from .line_digraph import extended_line_digraph
 from .metric import AUTO, DistanceResult, d_e, poset_distance
@@ -23,7 +23,7 @@ from .solvers import Solver
 
 USAGE_ERROR = 64
 
-_SOLVER_CHOICES = ("brute", "alg1", "alg2", "alg3", "clique", "auto")
+_SOLVER_CHOICES = (*(s.value for s in Solver), AUTO)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,15 +35,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _pick_solver(name: str) -> Solver | str:
-    if name == "auto":
-        return AUTO
-    return Solver(name)
-
-
 def _witness_pairs(result: DistanceResult) -> list[list[str]]:
-    if result.witness is None:
-        return []
     return [[a, b] for a, b in result.witness.pairs]
 
 
@@ -79,7 +71,7 @@ def _cmd_distance(args) -> int:
         g = fileio.load_graph(args.first)
         g2 = fileio.load_graph(args.second)
         start = time.perf_counter()
-        result = d_e(g, g2, solver=_pick_solver(args.solver))
+        result = d_e(g, g2, solver=args.solver)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     _print_result(result, elapsed_ms, args)
     return 0
@@ -89,7 +81,7 @@ def _cmd_dmces(args) -> int:
     g = fileio.load_graph(args.first)
     g2 = fileio.load_graph(args.second)
     start = time.perf_counter()
-    result = d_e(g, g2, solver=_pick_solver(args.solver))
+    result = d_e(g, g2, solver=args.solver)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.json:
         _print_result(result, elapsed_ms, args)
@@ -239,10 +231,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (ValidationError, PosetDistError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PosetDistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort barrier for exit code 1

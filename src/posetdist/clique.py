@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
-from .core import LabeledDigraph, UndirectedGraph, induced_subgraph, validate_properties
-from .errors import PropertyViolation
-from .isomorphism import _MISSING, _View, find_isomorphism
-from .line_digraph import ExtendedLineDigraph, extended_line_digraph
-from .solvers import DmcesOutcome, NodeMatching, Solver, matched_edges, score
+from .core import LabeledDigraph, UndirectedGraph
+from .isomorphism import _MISSING, _View
+from .line_digraph import extended_line_digraph
+from .solvers import DmcesOutcome, NodeMatching, Solver, _outcome, _require
 
 
 @dataclass(frozen=True)
@@ -177,38 +176,25 @@ def _lex_smallest_clique(adj: list[int], n: int, size: int) -> int:
 def mcis(g, g2) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:
     """Maximum common node-induced subgraph size of two labeled digraphs,
     via the maximum clique of their compatibility graph.  The returned
-    pairs are checked to induce isomorphic subgraphs before reporting."""
+    pairs are checked to be an isomorphism of the subgraphs they induce
+    before reporting."""
     comp = compatibility_graph(g, g2)
     clique = max_clique(comp.graph)
     pairs = frozenset(comp.pair(i) for i in clique)
-    _verify_common_subgraph(g, g2, pairs)
+    _check_isomorphism(_View(g), _View(g2), pairs)
     return len(pairs), pairs
 
 
-def _verify_common_subgraph(g, g2, pairs) -> None:
-    left = _induced(g, {n for n, _ in pairs})
-    right = _induced(g2, {n2 for _, n2 in pairs})
-    if find_isomorphism(left, right) is None:
-        raise RuntimeError(
-            "internal error: clique does not induce isomorphic subgraphs"
-        )
-
-
-def _induced(g, keep: set):
-    """Node-induced subgraph, same kind as the input."""
-    if isinstance(g, LabeledDigraph):
-        return induced_subgraph(g, [v for v in g.nodes if v in keep])
-    if isinstance(g, ExtendedLineDigraph):
-        return ExtendedLineDigraph(
-            tuple(v for v in g.nodes if v in keep),
-            {v: lab for v, lab in g.node_labels.items() if v in keep},
-            tuple(
-                (e, f, rel)
-                for e, f, rel in g.labeled_edges
-                if e in keep and f in keep
-            ),
-        )
-    raise TypeError(f"unsupported graph type {type(g).__name__}")
+def _check_isomorphism(a: _View, b: _View, pairs) -> None:
+    """Raise unless ``pairs`` is injective on both sides, keeps node labels,
+    and keeps the edge label (or absence) of every ordered pair of pairs."""
+    injective = len({n for n, _ in pairs}) == len({n2 for _, n2 in pairs}) == len(pairs)
+    if not (
+        injective
+        and all(a.label[n] == b.label[n2] for n, n2 in pairs)
+        and all(_agrees(a, b, n, m, n2, m2) for n, n2 in pairs for m, m2 in pairs)
+    ):
+        raise RuntimeError("internal error: clique does not induce isomorphic subgraphs")
 
 
 def dmces_via_clique(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
@@ -220,11 +206,7 @@ def dmces_via_clique(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
     node matching by reading off endpoints (consistent and injective for
     any clique, since shared endpoints on one side force the same sharing
     on the other)."""
-    for which, graph in (("first", g), ("second", g2)):
-        if not validate_properties(graph).is_wso:
-            raise PropertyViolation(
-                f"{which} graph must be weakly connected, simple, and oriented"
-            )
+    _require(g, g2)
     eld, eld2 = extended_line_digraph(g), extended_line_digraph(g2)
     comp = compatibility_graph(eld, eld2)
     clique = max_clique(comp.graph)
@@ -239,9 +221,7 @@ def dmces_via_clique(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
             node_map[s] = t
             reverse[t] = s
 
-    witness = NodeMatching(tuple(node_map.items()))
-    realized = matched_edges(g, g2, witness)
-    value = len(clique)
-    if len(realized) != value or score(g, g2, witness) != value:
+    outcome = _outcome(g, g2, NodeMatching(node_map.items()), Solver.CLIQUE)
+    if outcome.value != len(clique):
         raise RuntimeError("internal error: clique value does not match witness")
-    return DmcesOutcome(value, witness, realized, Solver.CLIQUE)
+    return outcome

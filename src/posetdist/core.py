@@ -99,6 +99,11 @@ class LabeledDigraph:
         return {v: tuple(ws) for v, ws in adj.items()}
 
     @cached_property
+    def report(self) -> "PropertyReport":
+        """The structural report, computed once per graph object."""
+        return validate_properties(self)
+
+    @cached_property
     def label_classes(self) -> dict[str, tuple[NodeId, ...]]:
         """Nodes grouped by label, insertion order inside each class."""
         classes: dict[str, list[NodeId]] = {}
@@ -172,7 +177,6 @@ class UndirectedGraph:
 class PropertyReport:
     """Structural facts about a :class:`LabeledDigraph`, computed exactly."""
 
-    is_finite: bool
     is_weakly_connected: bool
     is_simple: bool
     is_oriented: bool
@@ -198,7 +202,7 @@ class PosetDigraph:
     graph: LabeledDigraph
 
     def __post_init__(self):
-        report = validate_properties(self.graph)
+        report = self.graph.report
         if not report.is_simple:
             raise PropertyViolation("poset digraph must be simple")
         if not report.is_oriented:
@@ -219,7 +223,7 @@ class PosetDigraph:
 
     @property
     def per_label_path(self) -> bool:
-        return validate_properties(self.graph).per_label_path
+        return self.graph.report.per_label_path
 
 
 def validate_properties(g: LabeledDigraph) -> PropertyReport:
@@ -248,7 +252,6 @@ def validate_properties(g: LabeledDigraph) -> PropertyReport:
         _induces_chain(g, class_nodes) for class_nodes in g.label_classes.values()
     )
     return PropertyReport(
-        is_finite=True,
         is_weakly_connected=weakly,
         is_simple=simple,
         is_oriented=oriented,
@@ -267,21 +270,12 @@ def _is_transitively_closed(g: LabeledDigraph) -> bool:
     return True
 
 
-def _induced_subgraph(g: LabeledDigraph, keep: Iterable[NodeId]) -> LabeledDigraph:
-    keep_set = set(keep)
-    return LabeledDigraph(
-        [v for v in g.nodes if v in keep_set],
-        {v: g.node_labels[v] for v in g.nodes if v in keep_set},
-        [(u, v) for u, v in g.edges if u in keep_set and v in keep_set],
-    )
-
-
 def _induces_chain(g: LabeledDigraph, class_nodes: tuple[NodeId, ...]) -> bool:
     """True iff the induced subgraph on ``class_nodes`` is acyclic and its
     transitive reduction is a directed path through every class node."""
     if len(class_nodes) <= 1:
         return True
-    sub = _induced_subgraph(g, class_nodes)
+    sub = induced_subgraph(g, class_nodes)
     nxg = sub._nx()
     if not nx.is_directed_acyclic_graph(nxg):
         return False
@@ -296,7 +290,12 @@ def _induces_chain(g: LabeledDigraph, class_nodes: tuple[NodeId, ...]) -> bool:
 
 def induced_subgraph(g: LabeledDigraph, keep: Iterable[NodeId]) -> LabeledDigraph:
     """Node-induced subgraph on ``keep`` (order inherited from ``g``)."""
-    return _induced_subgraph(g, keep)
+    keep_set = set(keep)
+    return LabeledDigraph(
+        [v for v in g.nodes if v in keep_set],
+        {v: g.node_labels[v] for v in g.nodes if v in keep_set},
+        [(u, v) for u, v in g.edges if u in keep_set and v in keep_set],
+    )
 
 
 def build_poset_digraph(
@@ -340,7 +339,7 @@ def build_poset_digraph(
     if not edges:
         raise DegeneratePoset("order relation yields no edges")
     g = LabeledDigraph(ids, dict(elems), edges)
-    if not (len(g.nodes) <= 1 or nx.is_weakly_connected(g._nx())):
+    if not g.report.is_weakly_connected:
         raise NotWeaklyConnected("order relation does not connect all elements")
     return PosetDigraph(g)
 
@@ -349,8 +348,7 @@ def structure(g: LabeledDigraph) -> UndirectedGraph:
     """Forget directions and labels: edge {u, v} iff either orientation
     is present.  Requires a simple, oriented input so the map edge ->
     undirected edge is one to one."""
-    report = validate_properties(g)
-    if not (report.is_simple and report.is_oriented):
+    if not (g.report.is_simple and g.report.is_oriented):
         raise PropertyViolation("structure() requires a simple, oriented digraph")
     return UndirectedGraph(g.nodes, g.edges)
 

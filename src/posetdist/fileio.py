@@ -43,9 +43,7 @@ def load_poset(path: PathLike) -> PosetDigraph:
     elements, relations = _load_pairs(path, kind="poset")
     try:
         return build_poset_digraph(elements, relations)
-    except PosetDistError as exc:
-        raise ValidationError(f"{path}: {exc}", cause=exc) from exc
-    except (ValueError, KeyError) as exc:
+    except (PosetDistError, ValueError, KeyError) as exc:
         raise ValidationError(f"{path}: {exc}", cause=exc) from exc
 
 

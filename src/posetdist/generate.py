@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from .core import LabeledDigraph, transitive_closure, validate_properties
+from .core import LabeledDigraph, transitive_closure
 from .errors import InfeasibleParameters
 
 KINDS = ("wso", "closure", "path-closure")
@@ -53,8 +53,7 @@ def generate_instance(
             g = _sample_closure(rng, nodes, labels, density)
         else:
             g = _sample_path_closure(rng, nodes, labels, density)
-        report = validate_properties(g)
-        if report.is_weakly_connected and g.edges:
+        if g.report.is_weakly_connected and g.edges:
             return g
     raise InfeasibleParameters(
         f"no weakly connected {kind} instance with nodes={nodes} "

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .core import Edge, LabeledDigraph, UndirectedGraph, line_graph, structure, validate_properties
+from .core import Edge, LabeledDigraph, UndirectedGraph, line_graph, structure
 from .errors import NotSimple
 from .isomorphism import find_isomorphism
 
@@ -62,7 +62,7 @@ def extended_line_digraph(g: LabeledDigraph) -> ExtendedLineDigraph:
     HT edges in both directions and the usual uniqueness guarantees no
     longer apply).
     """
-    report = validate_properties(g)
+    report = g.report
     if not report.is_simple:
         raise NotSimple("extended line digraph requires a simple source graph")
     if not report.is_oriented:

@@ -5,7 +5,8 @@ digraphs: one minus the maximum number of simultaneously matchable edges,
 normalized by the larger edge count.  ``d_n`` is the node-level analogue
 (one minus the maximum common node-induced subgraph size over the larger
 node count).  ``poset_distance`` applies ``d_e`` to the digraphs of two
-labeled partial orders.
+labeled partial orders.  :func:`solve` is the one place a solver name is
+turned into a call.
 
 Distances are exact :class:`fractions.Fraction` values internally; render
 them as decimals at the edge of the system, never compare floats.
@@ -18,12 +19,12 @@ from fractions import Fraction
 from typing import Union
 
 from .clique import dmces_via_clique, mcis
-from .core import LabeledDigraph, PosetDigraph, validate_properties
-from .errors import DegenerateInput, PropertyViolation
+from .core import LabeledDigraph, PosetDigraph
 from .solvers import (
     DmcesOutcome,
     NodeMatching,
     Solver,
+    _require,
     dmces_alg1,
     dmces_alg2,
     dmces_alg3,
@@ -57,10 +58,13 @@ class DistanceResult:
             raise ValueError("distance does not match value/normalizer")
 
 
-def _solve(
+def solve(
     g: LabeledDigraph, g2: LabeledDigraph, solver: Union[Solver, str]
 ) -> DmcesOutcome:
-    solver = Solver(solver) if not isinstance(solver, Solver) else solver
+    """Run one named solver (not ``auto``) on the pair.  Each solver is looked
+    up by its module-level name at call time, so a rebinding of that name
+    (a wrapper, a test double) takes effect here."""
+    solver = Solver(solver)
     if solver is Solver.BRUTE:
         return dmces_bruteforce(g, g2)
     if solver is Solver.ALG1:
@@ -75,7 +79,7 @@ def _solve(
 def choose_solver(g: LabeledDigraph, g2: LabeledDigraph) -> Solver:
     """The `auto` policy: the most-pruned solver whose preconditions hold,
     clique reduction for small edge products, plain recursion otherwise."""
-    ra, rb = validate_properties(g), validate_properties(g2)
+    ra, rb = g.report, g2.report
     closures = (
         ra.is_acyclic
         and rb.is_acyclic
@@ -98,16 +102,10 @@ def d_e(
 ) -> DistanceResult:
     """Edge-overlap distance between two weakly connected, simple,
     oriented node-labeled digraphs, each with at least one edge."""
-    for which, graph in (("first", g), ("second", g2)):
-        if not validate_properties(graph).is_wso:
-            raise PropertyViolation(
-                f"{which} graph must be weakly connected, simple, and oriented"
-            )
-        if not graph.edges:
-            raise DegenerateInput(f"{which} graph has no edges")
+    _require(g, g2, edges=True)
     if solver == AUTO:
         solver = choose_solver(g, g2)
-    outcome = _solve(g, g2, solver)
+    outcome = solve(g, g2, solver)
     normalizer = max(len(g.edges), len(g2.edges))
     return DistanceResult(
         dmces_value=outcome.value,
@@ -131,9 +129,8 @@ def d_n(g, g2) -> Fraction:
 
 
 def poset_distance(p: PosetDigraph, p2: PosetDigraph) -> DistanceResult:
-    """Distance between two labeled partial orders, via their digraphs.
-    Uses the chain-aware solver when every label class is a chain in both,
-    the order-respecting solver otherwise."""
-    if p.per_label_path and p2.per_label_path:
-        return d_e(p.graph, p2.graph, Solver.ALG3)
-    return d_e(p.graph, p2.graph, Solver.ALG2)
+    """Distance between two labeled partial orders: ``d_e`` of their
+    digraphs under the ``auto`` policy, which picks the chain-aware solver
+    when every label class is a chain in both, the order-respecting solver
+    otherwise."""
+    return d_e(p.graph, p2.graph)

@@ -30,15 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
-from .core import (
-    LabeledDigraph,
-    PosetDigraph,
-    topological_sort,
-    validate_properties,
-)
+from .core import LabeledDigraph, PosetDigraph, topological_sort
 from .errors import (
+    DegenerateInput,
     InvalidMatching,
     LabelClassNotPath,
     NotTransitivelyClosed,
@@ -123,12 +119,7 @@ def score(g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching) -> int:
     """Number of edges (v1, v2) of ``g`` whose image (phi(v1), phi(v2)) is
     an edge of ``g2``."""
     _check_matching(g, g2, phi)
-    m = phi.mapping
-    return sum(
-        1
-        for a, b in g.edges
-        if a in m and b in m and (m[a], m[b]) in g2.edge_set
-    )
+    return len(matched_edges(g, g2, phi))
 
 
 def matched_edges(
@@ -223,6 +214,7 @@ def dmces_bruteforce(
         a: sorted(vs) for a, vs in g2.label_classes.items()
     }
     order = list(g.nodes)
+    edge_set2 = g2.edge_set
     used: set[str] = set()
     current: dict[str, str] = {}
     best = -1
@@ -231,7 +223,15 @@ def dmces_bruteforce(
     def recurse(i: int) -> None:
         nonlocal best, best_phi
         if i == len(order):
-            value = _raw_score(g, g2, current)
+            # counted here rather than through matched_edges: the oracle
+            # stays independent of the routine it audits, at half the cost
+            value = sum(
+                1
+                for a, b in g.edges
+                if a in current
+                and b in current
+                and (current[a], current[b]) in edge_set2
+            )
             if value > best:
                 best = value
                 best_phi = dict(current)
@@ -251,47 +251,45 @@ def dmces_bruteforce(
     return _outcome(g, g2, NodeMatching(tuple(best_phi.items())), Solver.BRUTE)
 
 
-def _raw_score(g: LabeledDigraph, g2: LabeledDigraph, m: Mapping[str, str]) -> int:
-    return sum(
-        1
-        for a, b in g.edges
-        if a in m and b in m and (m[a], m[b]) in g2.edge_set
-    )
+def _require(
+    g: LabeledDigraph | PosetDigraph,
+    g2: LabeledDigraph | PosetDigraph,
+    *,
+    edges: bool = False,
+    closure: bool = False,
+    chains: bool = False,
+) -> tuple[LabeledDigraph, LabeledDigraph]:
+    """The precondition guard of every solver entry point.
 
-
-def _require_wso(g: LabeledDigraph, which: str) -> None:
-    report = validate_properties(g)
-    if not report.is_wso:
-        raise PropertyViolation(
-            f"{which} graph must be weakly connected, simple, and oriented"
-        )
-
-
-def _require_closure(g: LabeledDigraph | PosetDigraph, which: str) -> LabeledDigraph:
-    if isinstance(g, PosetDigraph):
-        return g.graph
-    report = validate_properties(g)
-    if not report.is_wso:
-        raise PropertyViolation(
-            f"{which} graph must be weakly connected, simple, and oriented"
-        )
-    if not report.is_transitively_closed:
-        raise NotTransitivelyClosed(f"{which} graph is not transitively closed")
-    return g
-
-
-def _require_label_paths(g: LabeledDigraph, which: str) -> None:
-    if not validate_properties(g).per_label_path:
-        raise LabelClassNotPath(
-            f"some label class of the {which} graph is not a directed chain"
-        )
+    Each graph, first then second, must be weakly connected, simple and
+    oriented, and then, as asked, have an edge and be transitively closed;
+    label classes are checked for chains only after both graphs passed.
+    A :class:`PosetDigraph` is unwrapped (it passes every check but the
+    chain one by construction).  Returns the two plain digraphs.
+    """
+    pair = tuple(p.graph if isinstance(p, PosetDigraph) else p for p in (g, g2))
+    for which, graph in zip(("first", "second"), pair):
+        if not graph.report.is_wso:
+            raise PropertyViolation(
+                f"{which} graph must be weakly connected, simple, and oriented"
+            )
+        if edges and not graph.edges:
+            raise DegenerateInput(f"{which} graph has no edges")
+        if closure and not graph.report.is_transitively_closed:
+            raise NotTransitivelyClosed(f"{which} graph is not transitively closed")
+    if chains:
+        for which, graph in zip(("first", "second"), pair):
+            if not graph.report.per_label_path:
+                raise LabelClassNotPath(
+                    f"some label class of the {which} graph is not a directed chain"
+                )
+    return pair
 
 
 def dmces_alg1(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
     """Recursive search with per-label cardinality pruning; inputs must be
     weakly connected, simple, and oriented."""
-    _require_wso(g, "first")
-    _require_wso(g2, "second")
+    _require(g, g2)
     phi = _pick_nodes(g, g2, order_filter=False, path_budget=False)
     return _outcome(g, g2, phi, Solver.ALG1)
 
@@ -301,8 +299,7 @@ def dmces_alg2(
 ) -> DmcesOutcome:
     """Alg 1 plus order-respecting pruning; inputs must be transitive
     closures (weakly connected, simple, oriented)."""
-    ga = _require_closure(g, "first")
-    gb = _require_closure(g2, "second")
+    ga, gb = _require(g, g2, closure=True)
     phi = _pick_nodes(ga, gb, order_filter=True, path_budget=False)
     return _outcome(ga, gb, phi, Solver.ALG2)
 
@@ -312,10 +309,7 @@ def dmces_alg3(
 ) -> DmcesOutcome:
     """Alg 2 plus dead-image tracking; inputs must be transitive closures
     whose label classes are directed chains."""
-    ga = _require_closure(g, "first")
-    gb = _require_closure(g2, "second")
-    _require_label_paths(ga, "first")
-    _require_label_paths(gb, "second")
+    ga, gb = _require(g, g2, closure=True, chains=True)
     phi = _pick_nodes(ga, gb, order_filter=True, path_budget=True)
     return _outcome(ga, gb, phi, Solver.ALG3)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from posetdist import BenchConfig, Solver, SolverDisagreement, bench_harness, rows_to_csv
-import posetdist.bench as bench_module
+import posetdist.metric as metric_module
 
 
 class TestConfig:
@@ -62,14 +62,14 @@ class TestHarness:
 
     def test_disagreement_aborts_and_names_both_values(self, monkeypatch):
         # force one solver to lie; the harness must dump the pair and raise
-        real = bench_module._RUNNERS[Solver.ALG2]
+        real = metric_module.dmces_alg2
 
         def lying_alg2(g, g2):
             outcome = real(g, g2)
             object.__setattr__(outcome, "value", outcome.value + 1)
             return outcome
 
-        monkeypatch.setitem(bench_module._RUNNERS, Solver.ALG2, lying_alg2)
+        monkeypatch.setattr(metric_module, "dmces_alg2", lying_alg2)
         config = BenchConfig(kind="closure", sizes=(4,), trials=1, seed=11)
         with pytest.raises(SolverDisagreement, match="alg2") as err:
             bench_harness(config)

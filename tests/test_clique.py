@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given
 
+import posetdist.clique as clique_module
 from posetdist import (
     LabeledDigraph,
     PropertyViolation,
@@ -131,6 +132,25 @@ class TestMcis:
         eld = extended_line_digraph(diamond_graph())
         size, _ = mcis(eld, eld)
         assert size == len(eld.nodes)
+
+    @pytest.mark.parametrize(
+        "bad_pairs",
+        [
+            # every pair at once: shares coordinates, so not injective
+            lambda comp: set(comp.pair_index),
+            # u<->v swapped: injective and label-preserving, but the edge
+            # (u, v) lands on the non-edge (v, u)
+            lambda comp: {("u", "v"), ("v", "u")},
+        ],
+        ids=["not-injective", "edge-not-kept"],
+    )
+    def test_a_set_that_is_no_clique_is_an_internal_error(self, bad_pairs, monkeypatch):
+        g = diamond_graph()
+        comp = compatibility_graph(g, g)
+        chosen = frozenset(comp.pair_index.index(p) for p in bad_pairs(comp))
+        monkeypatch.setattr(clique_module, "max_clique", lambda graph: chosen)
+        with pytest.raises(RuntimeError, match="internal error"):
+            mcis(g, g)
 
 
 class TestCliqueRoute:

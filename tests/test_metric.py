@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import posetdist.core as core_module
 from posetdist import (
     DegenerateInput,
     DistanceResult,
@@ -17,6 +18,7 @@ from posetdist import (
     d_e,
     d_n,
     extended_line_digraph,
+    generate_instance,
     poset_distance,
     score,
 )
@@ -170,6 +172,38 @@ class TestDE:
         assert ab == d_e(b, a).distance
         assert ac <= ab + bc
         assert d_e(a, a).distance == 0
+
+
+class TestValidationPasses:
+    """Each graph's structural report is computed once and cached on the
+    graph object, whichever solver answers."""
+
+    @pytest.fixture
+    def counted_pair(self, monkeypatch):
+        """Two fresh copies of generated graphs (the generator caches its
+        graphs' reports), then a counter on every validation pass."""
+        g, g2 = (
+            LabeledDigraph(h.nodes, h.node_labels, h.edges)
+            for h in (generate_instance("path-closure", 7, 2, 0.3, s) for s in (5, 6))
+        )
+        seen = []
+        real = core_module.validate_properties
+
+        def counting(graph):
+            seen.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(core_module, "validate_properties", counting)
+        return g, g2, seen
+
+    @pytest.mark.parametrize("solver", ["auto", *Solver])
+    def test_one_pass_per_graph_then_none(self, solver, counted_pair):
+        g, g2, passes = counted_pair
+        first = d_e(g, g2, solver)
+        assert len(passes) == 2
+        assert passes[0] is g and passes[1] is g2
+        assert d_e(g, g2, solver) == first
+        assert len(passes) == 2
 
 
 class TestDN:
