@@ -14,7 +14,6 @@ import time
 from . import fileio
 from .bench import BenchConfig, bench_harness, rows_to_csv
 from .clique import mcis
-from .core import validate_properties
 from .errors import PosetDistError
 from .generate import KINDS, generate_instance
 from .line_digraph import extended_line_digraph
@@ -119,7 +118,7 @@ def _cmd_eld(args) -> int:
 
 def _cmd_validate(args) -> int:
     g = fileio.load_graph(args.first)
-    report = validate_properties(g)
+    report = g.report
     checks = [
         ("simple", report.is_simple),
         ("oriented", report.is_oriented),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Hashable, Optional
 
 from .core import LabeledDigraph, UndirectedGraph
-from .isomorphism import _MISSING, _View
+from .isomorphism import MISSING, GraphView
 from .line_digraph import extended_line_digraph
 from .solvers import DmcesOutcome, NodeMatching, Solver, _outcome, _require
 
@@ -41,7 +41,7 @@ def compatibility_graph(g, g2) -> CompatibilityGraph:
     """Build the compatibility graph of two labeled digraphs (extended
     line digraphs welcome; their HT/TT/HH edge labels then take part in
     the agreement condition)."""
-    a, b = _View(g), _View(g2)
+    a, b = GraphView(g), GraphView(g2)
     pairs = [
         (n, n2)
         for n in a.nodes
@@ -61,8 +61,8 @@ def compatibility_graph(g, g2) -> CompatibilityGraph:
     return CompatibilityGraph(UndirectedGraph(range(k), edges), tuple(pairs))
 
 
-def _agrees(a: _View, b: _View, n, m, n2, m2) -> bool:
-    return a.edge_label.get((n, m), _MISSING) == b.edge_label.get((n2, m2), _MISSING)
+def _agrees(a: GraphView, b: GraphView, n, m, n2, m2) -> bool:
+    return a.edge_label.get((n, m), MISSING) == b.edge_label.get((n2, m2), MISSING)
 
 
 def max_clique(g: UndirectedGraph, *, deterministic: bool = True) -> frozenset:
@@ -181,11 +181,11 @@ def mcis(g, g2) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:
     comp = compatibility_graph(g, g2)
     clique = max_clique(comp.graph)
     pairs = frozenset(comp.pair(i) for i in clique)
-    _check_isomorphism(_View(g), _View(g2), pairs)
+    _check_isomorphism(GraphView(g), GraphView(g2), pairs)
     return len(pairs), pairs
 
 
-def _check_isomorphism(a: _View, b: _View, pairs) -> None:
+def _check_isomorphism(a: GraphView, b: GraphView, pairs) -> None:
     """Raise unless ``pairs`` is injective on both sides, keeps node labels,
     and keeps the edge label (or absence) of every ordered pair of pairs."""
     injective = len({n for n, _ in pairs}) == len({n2 for _, n2 in pairs}) == len(pairs)

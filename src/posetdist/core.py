@@ -6,13 +6,15 @@ The whole package works on two graph value types defined here:
 construction and iterate nodes/edges in deterministic insertion order, so
 every algorithm downstream is reproducible run to run.
 
-Commodity graph work (connectivity, topological order, transitive
-closure/reduction, reachability) is delegated to networkx; everything that
-carries domain meaning lives in this package.
+The per-call checks (the structural report and topological order) work on
+each graph's own adjacency.  Set-up and on-request graph work (transitive
+closure and reduction, line graphs, ancestors) is delegated to networkx;
+everything that carries domain meaning lives in this package.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping
@@ -240,52 +242,91 @@ def validate_properties(g: LabeledDigraph) -> PropertyReport:
     - per_label_path: every label class induces an acyclic subgraph whose
       transitive reduction is a single directed chain covering the class
       (a literal path and the closure of a path both qualify).
+
+    One pass over the edges builds an out- and an in-neighbour bitmask per
+    node (bit ``i`` is the node at position ``i`` of ``g.nodes``); every
+    flag is then read off those masks.
     """
-    nxg = g._nx()
-    n = len(g.nodes)
-    simple = all(u != v for u, v in g.edges)
-    oriented = simple and all((v, u) not in g.edge_set for u, v in g.edges)
-    weakly = n <= 1 or nx.is_weakly_connected(nxg)
-    acyclic = nx.is_directed_acyclic_graph(nxg)
-    closed = _is_transitively_closed(g)
+    index = {v: i for i, v in enumerate(g.nodes)}
+    n = len(index)
+    out = [0] * n
+    inn = [0] * n
+    pairs = []
+    for u, v in g.edges:
+        i, j = index[u], index[v]
+        out[i] |= 1 << j
+        inn[j] |= 1 << i
+        pairs.append((i, j))
+    everything = (1 << n) - 1
+    oriented = not any(a & b for a, b in zip(out, inn))
+    closed = all(not out[j] & ~(out[i] | 1 << i) for i, j in pairs)
+    # A one-node class passes as it stands, self-loop or not.
     per_label = all(
-        _induces_chain(g, class_nodes) for class_nodes in g.label_classes.values()
+        len(class_nodes) <= 1
+        or _unique_order(out, inn, sum(1 << index[v] for v in class_nodes))
+        for class_nodes in g.label_classes.values()
     )
     return PropertyReport(
-        is_weakly_connected=weakly,
-        is_simple=simple,
+        is_weakly_connected=n <= 1 or _reach(out, inn) == everything,
+        is_simple=not any(o >> i & 1 for i, o in enumerate(out)),
         is_oriented=oriented,
-        is_acyclic=acyclic,
+        # Closure shortens any cycle to a 2-cycle or a self-loop, and
+        # orientation rules both out, so only the other graphs need Kahn.
+        is_acyclic=oriented and closed or _peel(out, inn, everything)[0],
         is_transitively_closed=closed,
         per_label_path=per_label,
     )
 
 
-def _is_transitively_closed(g: LabeledDigraph) -> bool:
-    out = {v: set(ws) for v, ws in g.out_neighbors.items()}
-    for u, v in g.edges:
-        for w in out[v]:
-            if w != u and (u, w) not in g.edge_set:
-                return False
-    return True
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _induces_chain(g: LabeledDigraph, class_nodes: tuple[NodeId, ...]) -> bool:
-    """True iff the induced subgraph on ``class_nodes`` is acyclic and its
-    transitive reduction is a directed path through every class node."""
-    if len(class_nodes) <= 1:
-        return True
-    sub = induced_subgraph(g, class_nodes)
-    nxg = sub._nx()
-    if not nx.is_directed_acyclic_graph(nxg):
-        return False
-    red = nx.transitive_reduction(nxg)
-    if red.number_of_edges() != len(class_nodes) - 1:
-        return False
-    degrees_ok = all(
-        red.out_degree(v) <= 1 and red.in_degree(v) <= 1 for v in class_nodes
-    )
-    return degrees_ok and nx.is_weakly_connected(red)
+def _reach(out: list[int], inn: list[int]) -> int:
+    """Mask of the nodes joined to node 0 by an undirected path."""
+    seen = frontier = 1
+    while frontier:
+        step = 0
+        for i in _bits(frontier):
+            step |= out[i] | inn[i]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
+def _peel(out: list[int], inn: list[int], mask: int) -> tuple[bool, bool]:
+    """Kahn's algorithm on the subgraph induced by ``mask``.
+
+    Returns whether it removed every node, which holds exactly when the
+    subgraph is acyclic (a node on or after a cycle, self-loops included,
+    never becomes a source), and whether exactly one source was ready at
+    every step.
+    """
+    indeg = {i: (inn[i] & mask).bit_count() for i in _bits(mask)}
+    ready = [i for i, d in indeg.items() if not d]
+    removed = 0
+    unique = True
+    while ready:
+        unique = unique and len(ready) == 1
+        i = ready.pop()
+        removed += 1
+        for j in _bits(out[i] & mask):
+            indeg[j] -= 1
+            if not indeg[j]:
+                ready.append(j)
+    return removed == len(indeg), unique
+
+
+def _unique_order(out: list[int], inn: list[int], mask: int) -> bool:
+    """True iff the subgraph induced by ``mask`` is acyclic and its
+    transitive reduction is one directed path through all of it, that is,
+    iff it has exactly one topological order."""
+    acyclic, unique = _peel(out, inn, mask)
+    return acyclic and unique
 
 
 def induced_subgraph(g: LabeledDigraph, keep: Iterable[NodeId]) -> LabeledDigraph:
@@ -381,10 +422,20 @@ def predecessors(g: LabeledDigraph, v: NodeId) -> frozenset[NodeId]:
 
 def topological_sort(g: LabeledDigraph) -> list[NodeId]:
     """Kahn's method with smallest-id tie-break; raises CycleDetected."""
-    try:
-        return list(nx.lexicographical_topological_sort(g._nx()))
-    except nx.NetworkXUnfeasible:
-        raise CycleDetected("graph contains a directed cycle") from None
+    indeg = {v: len(ws) for v, ws in g.in_neighbors.items()}
+    ready = [v for v, d in indeg.items() if not d]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in g.out_neighbors[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                heapq.heappush(ready, w)
+    if len(order) != len(indeg):
+        raise CycleDetected("graph contains a directed cycle")
+    return order
 
 
 def transitive_closure(g: LabeledDigraph) -> LabeledDigraph:

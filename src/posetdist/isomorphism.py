@@ -33,7 +33,7 @@ class Bijection:
         return len(self.pairs)
 
 
-class _View:
+class GraphView:
     """Uniform (nodes, node label, directed labeled edges) access.
 
     Undirected graphs are viewed as symmetric digraphs with unlabeled
@@ -65,7 +65,12 @@ class _View:
             raise KindMismatch(f"unsupported graph type {type(g).__name__}")
 
 
-def _signature(view: _View, v) -> tuple:
+# The label of an absent edge: ``edge_label.get(e, MISSING)`` tells an
+# absent edge from an unlabeled one, whose label is None.
+MISSING = object()
+
+
+def _signature(view: GraphView, v) -> tuple:
     """Node label plus in/out degree per edge label; invariant under iso."""
     out: dict = {}
     inc: dict = {}
@@ -91,7 +96,7 @@ def find_isomorphism(g, g2, *, edge_labels: bool = True) -> Optional[Bijection]:
 
     Raises :class:`KindMismatch` when the two graphs are of different kinds.
     """
-    a, b = _View(g), _View(g2)
+    a, b = GraphView(g), GraphView(g2)
     if a.kind != b.kind:
         raise KindMismatch(f"cannot compare {a.kind} with {b.kind}")
     if not edge_labels:
@@ -115,9 +120,9 @@ def find_isomorphism(g, g2, *, edge_labels: bool = True) -> Optional[Bijection]:
 
     def consistent(v, w) -> bool:
         for u, x in mapping.items():
-            if a.edge_label.get((u, v), _MISSING) != b.edge_label.get((x, w), _MISSING):
+            if a.edge_label.get((u, v), MISSING) != b.edge_label.get((x, w), MISSING):
                 return False
-            if a.edge_label.get((v, u), _MISSING) != b.edge_label.get((w, x), _MISSING):
+            if a.edge_label.get((v, u), MISSING) != b.edge_label.get((w, x), MISSING):
                 return False
         return True
 
@@ -141,14 +146,11 @@ def find_isomorphism(g, g2, *, edge_labels: bool = True) -> Optional[Bijection]:
     return None
 
 
-_MISSING = object()
-
-
 def is_label_respecting(phi: Bijection, g, g2) -> bool:
     """True iff ``phi`` preserves node labels and, wherever both mapped
     edges exist, their edge labels agree.  ``phi`` must be total on the
     nodes of ``g``."""
-    a, b = _View(g), _View(g2)
+    a, b = GraphView(g), GraphView(g2)
     m = phi.as_dict()
     if set(m) != set(a.nodes):
         raise ValueError("bijection is not total on the first graph's nodes")
@@ -156,7 +158,7 @@ def is_label_respecting(phi: Bijection, g, g2) -> bool:
         if w not in b.label or a.label[v] != b.label[w]:
             return False
     for (u, v), lab in a.edge_label.items():
-        image = b.edge_label.get((m[u], m[v]), _MISSING)
-        if image is not _MISSING and image != lab:
+        image = b.edge_label.get((m[u], m[v]), MISSING)
+        if image is not MISSING and image != lab:
             return False
     return True

@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive: permutation scans, subset
-enumeration, BFS. None of it shares logic with the code under test, so
-agreement between the two is meaningful evidence.
+enumeration, BFS, or networkx's own routines. None of it shares logic with
+the code under test, so agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from posetdist import LabeledDigraph, UndirectedGraph
+import networkx as nx
+
+from posetdist import LabeledDigraph, PropertyReport, UndirectedGraph
 
 
 def perm_isomorphic(g: LabeledDigraph, g2: LabeledDigraph) -> bool:
@@ -29,6 +31,48 @@ def perm_isomorphic(g: LabeledDigraph, g2: LabeledDigraph) -> bool:
             if len(g.edges) == len(edges2):
                 return True
     return False
+
+
+def report_by_networkx(g: LabeledDigraph) -> PropertyReport:
+    """The structural report, each flag from its definition through
+    networkx: connectivity and acyclicity tests on the whole graph, and a
+    transitive reduction per label class that must be one path."""
+    nxg = nx.DiGraph()
+    nxg.add_nodes_from(g.nodes)
+    nxg.add_edges_from(g.edges)
+    edges = set(g.edges)
+    simple = all(u != v for u, v in g.edges)
+    closed = all(
+        w == u or (u, w) in edges for u, v in g.edges for w in nxg.successors(v)
+    )
+    return PropertyReport(
+        is_weakly_connected=len(g.nodes) <= 1 or nx.is_weakly_connected(nxg),
+        is_simple=simple,
+        is_oriented=simple and all((v, u) not in edges for u, v in g.edges),
+        is_acyclic=nx.is_directed_acyclic_graph(nxg),
+        is_transitively_closed=closed,
+        per_label_path=all(
+            _induces_chain(nxg, class_nodes)
+            for class_nodes in g.label_classes.values()
+        ),
+    )
+
+
+def _induces_chain(nxg: nx.DiGraph, class_nodes) -> bool:
+    """True iff the subgraph induced by ``class_nodes`` is acyclic and its
+    transitive reduction is a directed path through every class node."""
+    if len(class_nodes) <= 1:
+        return True
+    sub = nxg.subgraph(class_nodes)
+    if not nx.is_directed_acyclic_graph(sub):
+        return False
+    red = nx.transitive_reduction(sub)
+    if red.number_of_edges() != len(class_nodes) - 1:
+        return False
+    degrees_ok = all(
+        red.out_degree(v) <= 1 and red.in_degree(v) <= 1 for v in class_nodes
+    )
+    return degrees_ok and nx.is_weakly_connected(red)
 
 
 def subset_clique_number(ug: UndirectedGraph) -> int:

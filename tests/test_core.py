@@ -2,8 +2,9 @@
 
 import itertools
 
+import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from posetdist import (
@@ -25,8 +26,14 @@ from posetdist import (
     transitive_reduction,
     validate_properties,
 )
-from conftest import diamond_graph, loopfree_digraphs, raw_digraphs, triangle
-from oracles import bfs_closure_edges
+from conftest import (
+    diamond_graph,
+    loopfree_digraphs,
+    raw_digraphs,
+    seeded_graphs,
+    triangle,
+)
+from oracles import bfs_closure_edges, report_by_networkx
 
 
 def dag_from(g: LabeledDigraph) -> LabeledDigraph:
@@ -35,6 +42,32 @@ def dag_from(g: LabeledDigraph) -> LabeledDigraph:
     return LabeledDigraph(
         g.nodes, g.node_labels, [(u, v) for u, v in g.edges if pos[u] < pos[v]]
     )
+
+
+@st.composite
+def any_digraphs(draw, max_nodes: int = 8):
+    """Digraphs on 0..max_nodes nodes with 1-3 labels and shuffled string
+    ids; self-loops, 2-cycles, isolated nodes, disconnected parts and
+    cyclic label classes all occur."""
+    n = draw(st.integers(0, max_nodes))
+    ids = draw(st.permutations([f"n{i}" for i in range(n)]))
+    labels = "abc"[: draw(st.integers(1, 3))]
+    node_labels = {v: draw(st.sampled_from(labels)) for v in ids}
+    pool = [(a, b) for a in ids for b in ids]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    return LabeledDigraph(ids, node_labels, edges)
+
+
+@st.composite
+def shuffled_dags(draw, max_nodes: int = 9):
+    """DAGs whose node order, id strings and edge order are all shuffled,
+    so the smallest-id tie-break differs from insertion order."""
+    n = draw(st.integers(0, max_nodes))
+    ids = draw(st.permutations([f"{chr(97 + i)}{i % 3}" for i in range(n)]))
+    ranks = draw(st.permutations(ids))
+    pool = [(a, b) for i, a in enumerate(ranks) for b in ranks[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    return LabeledDigraph(ids, dict.fromkeys(ids, "x"), draw(st.permutations(edges)))
 
 
 class TestLabeledDigraph:
@@ -162,6 +195,43 @@ class TestValidateProperties:
         assert r.is_weakly_connected == (len(components) <= 1)
 
 
+    @given(any_digraphs())
+    @example(LabeledDigraph((), {}, ()))
+    @example(LabeledDigraph(("a",), {"a": "x"}, (("a", "a"),)))
+    @example(
+        LabeledDigraph(
+            ("a", "b", "c", "d"),
+            {"a": "x", "b": "x", "c": "x", "d": "y"},
+            (("a", "b"), ("b", "c"), ("c", "a"), ("a", "d")),
+        )
+    )
+    def test_report_matches_networkx_oracle(self, g):
+        assert validate_properties(g) == report_by_networkx(g)
+
+    @given(
+        st.one_of(
+            seeded_graphs("path-closure", max_nodes=12),
+            seeded_graphs("closure", max_nodes=10),
+            seeded_graphs("wso", max_nodes=10),
+            loopfree_digraphs(max_nodes=7, labels="abc").map(
+                lambda g: transitive_closure(dag_from(g))
+            ),
+        )
+    )
+    def test_report_matches_oracle_on_closures(self, g):
+        # random digraphs are seldom closed; these reach the closed branches
+        assert validate_properties(g) == report_by_networkx(g)
+
+    def test_long_path_validates_and_sorts(self):
+        ids = [f"v{i:04d}" for i in range(3000)]
+        for labels in (dict.fromkeys(ids, "x"), {v: v for v in ids}):
+            g = LabeledDigraph(ids, labels, zip(ids, ids[1:]))
+            r = validate_properties(g)
+            assert r.is_wso and r.is_acyclic and r.per_label_path
+            assert not r.is_transitively_closed
+            assert topological_sort(g) == ids
+
+
 class TestBuildPoset:
     def test_chain_closure(self):
         p = build_poset_digraph(
@@ -262,9 +332,20 @@ class TestOrderUtilities:
         order = {v: i for i, v in enumerate(topological_sort(g))}
         assert all(order[u] < order[v] for u, v in g.edges)
 
+    @given(shuffled_dags())
+    def test_topological_sort_matches_networkx(self, g):
+        nxg = nx.DiGraph()
+        nxg.add_nodes_from(g.nodes)
+        nxg.add_edges_from(g.edges)
+        assert topological_sort(g) == list(nx.lexicographical_topological_sort(nxg))
+
     def test_cycle_detected(self):
         with pytest.raises(CycleDetected):
             topological_sort(triangle("cyclic"))
+        with pytest.raises(CycleDetected):
+            topological_sort(
+                LabeledDigraph(("a", "b"), dict.fromkeys("ab", "x"), (("a", "a"),))
+            )
         with pytest.raises(CycleDetected):
             transitive_closure(triangle("cyclic"))
         with pytest.raises(CycleDetected):
@@ -318,9 +399,13 @@ def test_property_report_is_wso_summary():
 
 
 def test_every_pair_of_distinct_three_node_dags_validated():
-    # exhaustive sanity: validate_properties never raises on any 3-node digraph
+    # exhaustive: every digraph on 3 nodes, self-loops included, under one
+    # shared label and under two labels, agrees with the networkx oracle
     ids = ("a", "b", "c")
     pool = [(u, v) for u, v in itertools.product(ids, ids)]
-    for mask in range(2 ** len(pool)):
-        edges = [e for i, e in enumerate(pool) if mask >> i & 1]
-        validate_properties(LabeledDigraph(ids, dict.fromkeys(ids, "x"), edges))
+    for labels in ("xxx", "xxy"):
+        node_labels = dict(zip(ids, labels))
+        for mask in range(2 ** len(pool)):
+            edges = [e for i, e in enumerate(pool) if mask >> i & 1]
+            g = LabeledDigraph(ids, node_labels, edges)
+            assert validate_properties(g) == report_by_networkx(g), edges
