@@ -3,24 +3,29 @@
 The pipeline realized here: the edge-overlap value of two node-labeled
 digraphs equals the maximum common node-induced subgraph size of their
 extended line digraphs, which in turn is the maximum clique size of the
-compatibility graph built from those.  :func:`dmces_via_clique` wires the
-three steps together and converts the winning clique back into a node
-matching on the original graphs.
+compatibility graph built from those.  :func:`mcis` is the last two steps
+on any two graphs of this package; :func:`dmces_via_clique` is :func:`mcis`
+on the two extended line digraphs, with the winning edge pairs read back
+as a node matching on the original graphs.  So ``d_e(G, G')`` on the
+clique route equals ``d_n(L(G), L(G'))`` by construction.
 
 The compatibility graph joins two label-matched pairs (n, n') and (m, m')
 when the ordered pairs (n, m) / (n', m') agree (both edges present with
 equal edge labels, or both absent) in BOTH orders, and the pairs share no
 coordinate.  The shared-coordinate exclusion makes every clique project to
 an injective map on either side.
+
+Every graph is read directly through its ``nodes``, ``node_labels`` and
+``edge_label_map``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable
 
-from .core import LabeledDigraph, UndirectedGraph
-from .isomorphism import MISSING, GraphView
+from .core import LabeledDigraph, UndirectedGraph, _bits
+from .isomorphism import MISSING
 from .line_digraph import extended_line_digraph
 from .solvers import DmcesOutcome, NodeMatching, Solver, _outcome, _require
 
@@ -41,13 +46,9 @@ def compatibility_graph(g, g2) -> CompatibilityGraph:
     """Build the compatibility graph of two labeled digraphs (extended
     line digraphs welcome; their HT/TT/HH edge labels then take part in
     the agreement condition)."""
-    a, b = GraphView(g), GraphView(g2)
-    pairs = [
-        (n, n2)
-        for n in a.nodes
-        for n2 in b.nodes
-        if a.label[n] == b.label[n2]
-    ]
+    labels, labels2 = g.node_labels, g2.node_labels
+    pairs = [(n, n2) for n in g.nodes for n2 in g2.nodes if labels[n] == labels2[n2]]
+    ea, eb = g.edge_label_map, g2.edge_label_map
     k = len(pairs)
     edges = []
     for i in range(k):
@@ -56,25 +57,23 @@ def compatibility_graph(g, g2) -> CompatibilityGraph:
             m, m2 = pairs[j]
             if n == m or n2 == m2:
                 continue
-            if _agrees(a, b, n, m, n2, m2) and _agrees(a, b, m, n, m2, n2):
+            if _agrees(ea, eb, n, m, n2, m2) and _agrees(ea, eb, m, n, m2, n2):
                 edges.append((i, j))
     return CompatibilityGraph(UndirectedGraph(range(k), edges), tuple(pairs))
 
 
-def _agrees(a: GraphView, b: GraphView, n, m, n2, m2) -> bool:
-    return a.edge_label.get((n, m), MISSING) == b.edge_label.get((n2, m2), MISSING)
+def _agrees(ea: dict, eb: dict, n, m, n2, m2) -> bool:
+    return ea.get((n, m), MISSING) == eb.get((n2, m2), MISSING)
 
 
-def max_clique(g: UndirectedGraph, *, deterministic: bool = True) -> frozenset:
+def max_clique(g: UndirectedGraph) -> frozenset:
     """Exact maximum clique by branch and bound.
 
     Candidates are greedily colored at every branch point; a partial clique
     extends only through vertices whose color class count can still beat
-    the incumbent, and branching works down from the highest color.  With
-    ``deterministic`` (the default) the witness is canonical: the
-    lexicographically smallest maximum clique in the node order of ``g``.
-    Without it the first maximum found is returned (same size, still
-    reproducible single-threaded, but order-of-exploration dependent).
+    the incumbent, and branching works down from the highest color.  The
+    witness is canonical: the lexicographically smallest maximum clique in
+    the node order of ``g``.
     """
     index = {v: i for i, v in enumerate(g.nodes)}
     n = len(g.nodes)
@@ -83,18 +82,8 @@ def max_clique(g: UndirectedGraph, *, deterministic: bool = True) -> frozenset:
         iu, iv = index[u], index[v]
         adj[iu] |= 1 << iv
         adj[iv] |= 1 << iu
-
-    best_size, best_mask = _bb_max_clique(adj, n)
-    if deterministic and best_size:
-        best_mask = _lex_smallest_clique(adj, n, best_size)
-    return frozenset(g.nodes[i] for i in _bits(best_mask))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    size = _search(adj, (1 << n) - 1, 0, n)
+    return frozenset(g.nodes[i] for i in _bits(_lex_smallest_clique(adj, n, size)))
 
 
 def _color_order(adj: list[int], cand: int) -> list[tuple[int, int]]:
@@ -115,43 +104,28 @@ def _color_order(adj: list[int], cand: int) -> list[tuple[int, int]]:
     return order
 
 
-def _bb_max_clique(adj: list[int], n: int) -> tuple[int, int]:
-    best_size = 0
-    best_mask = 0
-    full = (1 << n) - 1
+def _search(adj: list[int], cand: int, floor: int, stop: int) -> int:
+    """Size of the largest clique inside ``cand`` when it has more than
+    ``floor`` vertices, else ``floor``.  Returns as soon as it holds a
+    clique of ``stop`` vertices."""
+    best = floor
 
-    def expand(r_mask: int, r_size: int, cand: int) -> None:
-        nonlocal best_size, best_mask
+    def expand(size: int, cand: int) -> None:
+        nonlocal best
         if not cand:
-            if r_size > best_size:
-                best_size, best_mask = r_size, r_mask
+            if size > best:
+                best = size
             return
-        order = _color_order(adj, cand)
-        for v, color in reversed(order):
-            if r_size + color <= best_size:
+        for v, color in reversed(_color_order(adj, cand)):
+            if size + color <= best:
                 return
-            expand(r_mask | (1 << v), r_size + 1, cand & adj[v])
+            expand(size + 1, cand & adj[v])
+            if best >= stop:
+                return
             cand &= ~(1 << v)
 
-    expand(0, 0, full)
-    return best_size, best_mask
-
-
-def _clique_of_size_exists(adj: list[int], cand: int, need: int) -> bool:
-    if need <= 0:
-        return True
-    if bin(cand).count("1") < need:
-        return False
-    order = _color_order(adj, cand)
-    if order[-1][1] < need:
-        return False
-    for v, color in reversed(order):
-        if color < need:
-            return False
-        if _clique_of_size_exists(adj, cand & adj[v], need - 1):
-            return True
-        cand &= ~(1 << v)
-    return False
+    expand(0, cand)
+    return best
 
 
 def _lex_smallest_clique(adj: list[int], n: int, size: int) -> int:
@@ -163,7 +137,7 @@ def _lex_smallest_clique(adj: list[int], n: int, size: int) -> int:
     v = 0
     while need:
         bit = 1 << v
-        if cand & bit and _clique_of_size_exists(adj, cand & adj[v], need - 1):
+        if cand & bit and _search(adj, cand & adj[v], need - 2, need - 1) >= need - 1:
             chosen |= bit
             cand &= adj[v]
             need -= 1
@@ -174,25 +148,26 @@ def _lex_smallest_clique(adj: list[int], n: int, size: int) -> int:
 
 
 def mcis(g, g2) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:
-    """Maximum common node-induced subgraph size of two labeled digraphs,
-    via the maximum clique of their compatibility graph.  The returned
-    pairs are checked to be an isomorphism of the subgraphs they induce
-    before reporting."""
+    """Maximum common node-induced subgraph size of two graphs of the same
+    type, via the maximum clique of their compatibility graph.  The
+    returned pairs are checked to be an isomorphism of the subgraphs they
+    induce before reporting."""
     comp = compatibility_graph(g, g2)
-    clique = max_clique(comp.graph)
-    pairs = frozenset(comp.pair(i) for i in clique)
-    _check_isomorphism(GraphView(g), GraphView(g2), pairs)
+    pairs = frozenset(comp.pair(i) for i in max_clique(comp.graph))
+    _check_isomorphism(g, g2, pairs)
     return len(pairs), pairs
 
 
-def _check_isomorphism(a: GraphView, b: GraphView, pairs) -> None:
+def _check_isomorphism(g, g2, pairs) -> None:
     """Raise unless ``pairs`` is injective on both sides, keeps node labels,
     and keeps the edge label (or absence) of every ordered pair of pairs."""
+    labels, labels2 = g.node_labels, g2.node_labels
+    ea, eb = g.edge_label_map, g2.edge_label_map
     injective = len({n for n, _ in pairs}) == len({n2 for _, n2 in pairs}) == len(pairs)
     if not (
         injective
-        and all(a.label[n] == b.label[n2] for n, n2 in pairs)
-        and all(_agrees(a, b, n, m, n2, m2) for n, n2 in pairs for m, m2 in pairs)
+        and all(labels[n] == labels2[n2] for n, n2 in pairs)
+        and all(_agrees(ea, eb, n, m, n2, m2) for n, n2 in pairs for m, m2 in pairs)
     ):
         raise RuntimeError("internal error: clique does not induce isomorphic subgraphs")
 
@@ -200,21 +175,17 @@ def _check_isomorphism(a: GraphView, b: GraphView, pairs) -> None:
 def dmces_via_clique(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
     """Edge-overlap optimum through the clique reduction.
 
-    Both inputs must be weakly connected, simple, and oriented.  The
-    maximum clique of the compatibility graph of the two extended line
-    digraphs gives the value; the matched source-edge pairs determine the
-    node matching by reading off endpoints (consistent and injective for
-    any clique, since shared endpoints on one side force the same sharing
-    on the other)."""
+    Both inputs must be weakly connected, simple, and oriented.  The value
+    is :func:`mcis` of the two extended line digraphs; the matched
+    source-edge pairs determine the node matching by reading off endpoints
+    (consistent and injective for any clique, since shared endpoints on
+    one side force the same sharing on the other)."""
     _require(g, g2)
-    eld, eld2 = extended_line_digraph(g), extended_line_digraph(g2)
-    comp = compatibility_graph(eld, eld2)
-    clique = max_clique(comp.graph)
-    edge_pairs = sorted(comp.pair(i) for i in clique)
+    size, pairs = mcis(extended_line_digraph(g), extended_line_digraph(g2))
 
     node_map: dict[str, str] = {}
     reverse: dict[str, str] = {}
-    for (u, v), (u2, v2) in edge_pairs:
+    for (u, v), (u2, v2) in sorted(pairs):
         for s, t in ((u, u2), (v, v2)):
             if node_map.get(s, t) != t or reverse.get(t, s) != s:
                 raise RuntimeError("internal error: clique endpoints disagree")
@@ -222,6 +193,6 @@ def dmces_via_clique(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
             reverse[t] = s
 
     outcome = _outcome(g, g2, NodeMatching(node_map.items()), Solver.CLIQUE)
-    if outcome.value != len(clique):
+    if outcome.value != size:
         raise RuntimeError("internal error: clique value does not match witness")
     return outcome

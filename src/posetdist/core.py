@@ -87,6 +87,11 @@ class LabeledDigraph:
         return frozenset(self.edges)
 
     @cached_property
+    def edge_label_map(self) -> dict[Edge, None]:
+        """Every edge mapped to None: the edges of this type carry no label."""
+        return dict.fromkeys(self.edges)
+
+    @cached_property
     def out_neighbors(self) -> dict[NodeId, tuple[NodeId, ...]]:
         adj: dict[NodeId, list[NodeId]] = {v: [] for v in self.nodes}
         for u, v in self.edges:
@@ -164,6 +169,17 @@ class UndirectedGraph:
         return frozenset(self.edges)
 
     @cached_property
+    def node_labels(self) -> dict[Hashable, None]:
+        """Every node mapped to None: the nodes of this type carry no label."""
+        return dict.fromkeys(self.nodes)
+
+    @cached_property
+    def edge_label_map(self) -> dict[tuple, None]:
+        """Both orientations of every edge mapped to None, so the graph reads
+        as a symmetric digraph, which keeps its isomorphism relation."""
+        return dict.fromkeys(e for u, v in self.edges for e in ((u, v), (v, u)))
+
+    @cached_property
     def neighbors(self) -> dict[Hashable, tuple]:
         adj: dict[Hashable, list] = {v: [] for v in self.nodes}
         for u, v in self.edges:
@@ -197,8 +213,8 @@ class PosetDigraph:
 
     Wraps a :class:`LabeledDigraph` that is weakly connected, simple,
     oriented, acyclic, transitively closed, and has at least one edge.
-    Build one with :func:`build_poset_digraph` or
-    :meth:`PosetDigraph.from_closure`.
+    Build one with :func:`build_poset_digraph`, or wrap an existing
+    transitively closed graph directly.
     """
 
     graph: LabeledDigraph
@@ -217,11 +233,6 @@ class PosetDigraph:
             raise NotWeaklyConnected("poset digraph must be weakly connected")
         if not self.graph.edges:
             raise DegeneratePoset("order relation yields no edges")
-
-    @classmethod
-    def from_closure(cls, g: LabeledDigraph) -> "PosetDigraph":
-        """Validate an existing transitively closed graph as a poset digraph."""
-        return cls(g)
 
     @property
     def per_label_path(self) -> bool:
@@ -260,10 +271,8 @@ def validate_properties(g: LabeledDigraph) -> PropertyReport:
     everything = (1 << n) - 1
     oriented = not any(a & b for a, b in zip(out, inn))
     closed = all(not out[j] & ~(out[i] | 1 << i) for i, j in pairs)
-    # A one-node class passes as it stands, self-loop or not.
     per_label = all(
-        len(class_nodes) <= 1
-        or _unique_order(out, inn, sum(1 << index[v] for v in class_nodes))
+        _unique_order(out, inn, sum(1 << index[v] for v in class_nodes))
         for class_nodes in g.label_classes.values()
     )
     return PropertyReport(

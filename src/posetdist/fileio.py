@@ -73,24 +73,30 @@ def _parse_json(text: str, path: PathLike, kind: str):
     nodes: list[tuple[str, str]] = []
     seen: set[str] = set()
     for i, item in enumerate(doc[node_key]):
-        field = f"{node_key}[{i}]"
         if not isinstance(item, dict) or "id" not in item or "label" not in item:
-            raise ParseError("expected an object with id and label", path=path, field=field)
+            raise ParseError(
+                "expected an object with id and label", path=path, field=f"{node_key}[{i}]"
+            )
         node_id = str(item["id"])
         if node_id in seen:
-            raise ParseError(f"duplicate node id {node_id!r}", path=path, field=field)
+            raise ParseError(
+                f"duplicate node id {node_id!r}", path=path, field=f"{node_key}[{i}]"
+            )
         seen.add(node_id)
         nodes.append((node_id, str(item["label"])))
 
     pairs: list[tuple[str, str]] = []
     for i, item in enumerate(doc[edge_key]):
-        field = f"{edge_key}[{i}]"
         if not isinstance(item, list) or len(item) != 2:
-            raise ParseError("expected a [source, target] pair", path=path, field=field)
+            raise ParseError(
+                "expected a [source, target] pair", path=path, field=f"{edge_key}[{i}]"
+            )
         src, dst = str(item[0]), str(item[1])
         for end in (src, dst):
             if end not in seen:
-                raise ParseError(f"undeclared node id {end!r}", path=path, field=field)
+                raise ParseError(
+                    f"undeclared node id {end!r}", path=path, field=f"{edge_key}[{i}]"
+                )
         pairs.append((src, dst))
     return nodes, pairs
 

@@ -61,8 +61,6 @@ def report_by_networkx(g: LabeledDigraph) -> PropertyReport:
 def _induces_chain(nxg: nx.DiGraph, class_nodes) -> bool:
     """True iff the subgraph induced by ``class_nodes`` is acyclic and its
     transitive reduction is a directed path through every class node."""
-    if len(class_nodes) <= 1:
-        return True
     sub = nxg.subgraph(class_nodes)
     if not nx.is_directed_acyclic_graph(sub):
         return False
@@ -75,16 +73,18 @@ def _induces_chain(nxg: nx.DiGraph, class_nodes) -> bool:
     return degrees_ok and nx.is_weakly_connected(red)
 
 
-def subset_clique_number(ug: UndirectedGraph) -> int:
-    """Largest clique size by checking every node subset, biggest first."""
+def subset_max_clique(ug: UndirectedGraph) -> frozenset:
+    """The lexicographically smallest maximum clique in node order: the
+    first clique met checking every node subset, biggest first, each size
+    in ``itertools.combinations`` order."""
     nodes = list(ug.nodes)
     for size in range(len(nodes), 0, -1):
         for combo in itertools.combinations(nodes, size):
             if all(
                 ug.has_edge(a, b) for a, b in itertools.combinations(combo, 2)
             ):
-                return size
-    return 0
+                return frozenset(combo)
+    return frozenset()
 
 
 def bfs_closure_edges(g: LabeledDigraph) -> set[tuple[str, str]]:

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import posetdist.clique as clique_module
 from posetdist import (
@@ -19,7 +19,7 @@ from posetdist import (
     mcis,
 )
 from conftest import chain_pair, diamond_graph, seeded_graphs, undirected_graphs
-from oracles import subset_clique_number
+from oracles import subset_max_clique
 
 
 class TestCompatibilityFigure:
@@ -101,16 +101,23 @@ class TestMaxClique:
             ((3, 4), (4, 5), (3, 5), (0, 1), (1, 2), (0, 2)),
         )
         assert max_clique(g) == frozenset({0, 1, 2})
-        assert max_clique(g, deterministic=False) in (
-            frozenset({0, 1, 2}),
-            frozenset({3, 4, 5}),
-        )
 
+    # the witness search must look past the first branch of each existence
+    # test here: stopping after it gives {1, 2, 6, 7}, not {0, 1, 5, 7}
+    @example(
+        UndirectedGraph(
+            range(9),
+            (
+                (0, 1), (0, 3), (0, 5), (0, 6), (0, 7), (0, 8), (1, 2),
+                (1, 5), (1, 6), (1, 7), (2, 3), (2, 6), (2, 7), (3, 4),
+                (3, 7), (3, 8), (4, 6), (4, 7), (5, 7), (5, 8), (6, 7),
+            ),
+        )
+    )
     @given(undirected_graphs())
     def test_matches_subset_enumeration_oracle(self, g):
-        clique = max_clique(g)
-        assert len(clique) == subset_clique_number(g)
-        assert all(g.has_edge(a, b) for a, b in itertools.combinations(clique, 2))
+        # the witness too: the lexicographically smallest maximum clique
+        assert max_clique(g) == subset_max_clique(g)
 
     @given(undirected_graphs(max_nodes=7))
     def test_deterministic_witness_stable(self, g):
@@ -134,23 +141,39 @@ class TestMcis:
         assert size == len(eld.nodes)
 
     @pytest.mark.parametrize(
+        "searched, route",
+        [
+            (lambda g: g, lambda g: mcis(g, g)),
+            (extended_line_digraph, lambda g: dmces_via_clique(g, g)),
+        ],
+        ids=["mcis", "dmces_via_clique"],
+    )
+    @pytest.mark.parametrize(
         "bad_pairs",
         [
             # every pair at once: shares coordinates, so not injective
-            lambda comp: set(comp.pair_index),
-            # u<->v swapped: injective and label-preserving, but the edge
-            # (u, v) lands on the non-edge (v, u)
-            lambda comp: {("u", "v"), ("v", "u")},
+            lambda h: set(compatibility_graph(h, h).pair_index),
+            # a<->b swapped across a one-way edge a->b between equal labels:
+            # injective and label-preserving, but (a, b) lands on a non-edge
+            lambda h: next(
+                {(a, b), (b, a)}
+                for a, b in h.edge_label_map
+                if h.node_labels[a] == h.node_labels[b]
+                and (b, a) not in h.edge_label_map
+            ),
         ],
         ids=["not-injective", "edge-not-kept"],
     )
-    def test_a_set_that_is_no_clique_is_an_internal_error(self, bad_pairs, monkeypatch):
+    def test_a_set_that_is_no_clique_is_an_internal_error(
+        self, bad_pairs, searched, route, monkeypatch
+    ):
         g = diamond_graph()
-        comp = compatibility_graph(g, g)
-        chosen = frozenset(comp.pair_index.index(p) for p in bad_pairs(comp))
+        h = searched(g)
+        comp = compatibility_graph(h, h)
+        chosen = frozenset(comp.pair_index.index(p) for p in bad_pairs(h))
         monkeypatch.setattr(clique_module, "max_clique", lambda graph: chosen)
         with pytest.raises(RuntimeError, match="internal error"):
-            mcis(g, g)
+            route(g)
 
 
 class TestCliqueRoute:

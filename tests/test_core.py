@@ -164,6 +164,12 @@ class TestValidateProperties:
         )
         assert validate_properties(g).per_label_path
 
+    def test_singleton_class_with_self_loop_is_not_a_path(self):
+        g = LabeledDigraph(
+            ("a", "b"), {"a": "x", "b": "y"}, (("a", "a"), ("a", "b"))
+        )
+        assert not validate_properties(g).per_label_path
+
     @given(raw_digraphs())
     def test_flags_match_first_principles(self, g):
         r = validate_properties(g)

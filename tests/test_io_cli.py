@@ -398,6 +398,16 @@ class TestCliOtherCommands:
         assert "oriented: no" in out
         assert "wso: no" in out
 
+    def test_validate_self_loop_breaks_the_label_path(self, tmp_path, capsys):
+        loop = LabeledDigraph(
+            ("a", "b"), {"a": "x", "b": "y"}, (("a", "a"), ("a", "b"))
+        )
+        code = cli_main(["validate", graph_file(tmp_path, loop, "a.json")])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "simple: no" in out
+        assert "per_label_path: no" in out
+
     def test_gen_is_deterministic(self, capsys):
         argv = [
             "gen", "--kind", "closure", "--nodes", "6", "--labels", "2",

@@ -9,6 +9,7 @@ from posetdist import (
     KindMismatch,
     LabeledDigraph,
     UndirectedGraph,
+    eld_structure,
     extended_line_digraph,
     find_isomorphism,
     is_label_respecting,
@@ -47,6 +48,10 @@ class TestBasics:
         g = diamond_graph()
         with pytest.raises(KindMismatch):
             find_isomorphism(g, UndirectedGraph(("a",), ()))
+        with pytest.raises(KindMismatch):
+            find_isomorphism(extended_line_digraph(g), g)
+        with pytest.raises(KindMismatch, match="unsupported"):
+            find_isomorphism(object(), object())
 
     def test_label_blocks_structure_match(self):
         g = LabeledDigraph(("a", "b"), {"a": "x", "b": "y"}, (("a", "b"),))
@@ -69,7 +74,7 @@ class TestEdgeLabelSensitivity:
         eld_in = extended_line_digraph(star("all_in"))
         eld_out = extended_line_digraph(star("all_out"))
         assert find_isomorphism(eld_in, eld_out) is None
-        assert find_isomorphism(eld_in, eld_out, edge_labels=False) is not None
+        assert find_isomorphism(eld_structure(eld_in), eld_structure(eld_out)) is not None
 
     def test_eld_self_isomorphism(self):
         eld = extended_line_digraph(diamond_graph())
