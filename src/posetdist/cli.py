@@ -97,7 +97,7 @@ def _cmd_mcis(args) -> int:
     g2 = fileio.load_graph(args.second)
     size, pairs = mcis(g, g2)
     if args.json:
-        print(json.dumps({"mcis": size, "pairs": [[a, b] for a, b in pairs]}))
+        print(json.dumps({"mcis": size, "pairs": [[a, b] for a, b in sorted(pairs)]}))
     else:
         print(size)
     return 0

@@ -9,11 +9,22 @@ on the two extended line digraphs, with the winning edge pairs read back
 as a node matching on the original graphs.  So ``d_e(G, G')`` on the
 clique route equals ``d_n(L(G), L(G'))`` by construction.
 
-The compatibility graph joins two label-matched pairs (n, n') and (m, m')
-when the ordered pairs (n, m) / (n', m') agree (both edges present with
-equal edge labels, or both absent) in BOTH orders, and the pairs share no
-coordinate.  The shared-coordinate exclusion makes every clique project to
-an injective map on either side.
+The compatibility graph has one vertex per label-matched pair (n, n') whose
+self-loops agree (both absent, or both present with equal labels).  It
+joins (n, n') and (m, m') when the ordered pairs (n, m) / (n', m') agree
+(both edges present with equal edge labels, or both absent) in BOTH
+orders, and the pairs share no coordinate.  The shared-coordinate
+exclusion makes every clique project to an injective map on either side.
+
+:class:`CompatibilityGraph` holds the pairs (``pair_index``) and one
+neighbour bitmask per vertex (``adjacency``), which :func:`max_clique`
+searches directly.  The build never compares two vertices: it groups the
+other nodes ``m`` of each node ``n`` by the signature (label of n -> m,
+label of m -> n), a handful of classes (on an extended line digraph: HT
+out, HT in, TT, HH and not adjacent), and ORs together the masks of their
+vertices.  The neighbours of (n, n') are then the vertices that lie in the
+same signature class on both sides, so the build costs a few big-integer
+operations per vertex.
 
 Every graph is read directly through its ``nodes``, ``node_labels`` and
 ``edge_label_map``.
@@ -22,6 +33,7 @@ Every graph is read directly through its ``nodes``, ``node_labels`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable
 
 from .core import LabeledDigraph, UndirectedGraph, _bits
@@ -32,11 +44,26 @@ from .solvers import DmcesOutcome, NodeMatching, Solver, _outcome, _require
 
 @dataclass(frozen=True)
 class CompatibilityGraph:
-    """An undirected graph on integer node ids plus the pair each id
-    stands for."""
+    """The compatibility graph on vertices ``0 .. k-1``: vertex ``i`` stands
+    for ``pair_index[i]``, and bit ``j`` of ``adjacency[i]`` is set when
+    vertices ``i`` and ``j`` are adjacent."""
 
-    graph: UndirectedGraph
     pair_index: tuple[tuple[Hashable, Hashable], ...]
+    adjacency: tuple[int, ...]
+
+    @property
+    def nodes(self) -> range:
+        return range(len(self.pair_index))
+
+    @cached_property
+    def graph(self) -> UndirectedGraph:
+        """The same graph as an :class:`UndirectedGraph` on the vertex ids."""
+        edges = (
+            (i, j)
+            for i, mask in enumerate(self.adjacency)
+            for j in _bits(mask >> (i + 1) << (i + 1))
+        )
+        return UndirectedGraph(self.nodes, edges)
 
     def pair(self, node: int) -> tuple[Hashable, Hashable]:
         return self.pair_index[node]
@@ -47,27 +74,62 @@ def compatibility_graph(g, g2) -> CompatibilityGraph:
     line digraphs welcome; their HT/TT/HH edge labels then take part in
     the agreement condition)."""
     labels, labels2 = g.node_labels, g2.node_labels
-    pairs = [(n, n2) for n in g.nodes for n2 in g2.nodes if labels[n] == labels2[n2]]
     ea, eb = g.edge_label_map, g2.edge_label_map
-    k = len(pairs)
-    edges = []
-    for i in range(k):
-        n, n2 = pairs[i]
-        for j in range(i + 1, k):
-            m, m2 = pairs[j]
-            if n == m or n2 == m2:
-                continue
-            if _agrees(ea, eb, n, m, n2, m2) and _agrees(ea, eb, m, n, m2, n2):
-                edges.append((i, j))
-    return CompatibilityGraph(UndirectedGraph(range(k), edges), tuple(pairs))
+    pairs = [
+        (n, n2)
+        for n in g.nodes
+        for n2 in g2.nodes
+        if labels[n] == labels2[n2] and ea.get((n, n), MISSING) == eb.get((n2, n2), MISSING)
+    ]
+    rows = dict.fromkeys(g.nodes, 0)
+    cols = dict.fromkeys(g2.nodes, 0)
+    for i, (n, n2) in enumerate(pairs):
+        rows[n] |= 1 << i
+        cols[n2] |= 1 << i
+    full = (1 << len(pairs)) - 1
+    row_groups = _signature_groups(ea, rows, full)
+    col_groups = _signature_groups(eb, cols, full)
+    adjacency = []
+    for n, n2 in pairs:
+        row, col = row_groups[n], col_groups[n2]
+        mask = 0
+        for sig, group in row.items():
+            if sig in col:
+                mask |= group & col[sig]
+        adjacency.append(mask)
+    return CompatibilityGraph(tuple(pairs), tuple(adjacency))
+
+
+def _signature_groups(edge_labels: dict, own: dict, full: int) -> dict:
+    """For every node ``n``, the vertices of the other nodes ``m`` grouped
+    by the signature ``(label of n -> m, label of m -> n)``, ``MISSING``
+    for an absent edge; ``own[m]`` is the mask of the vertices of ``m``.
+    Self-loops join no group; vertex admission compares them."""
+    sig: dict = {n: {} for n in own}
+    for (u, v), label in edge_labels.items():
+        if u != v:
+            back = edge_labels.get((v, u), MISSING)
+            sig[u][v] = (label, back)
+            sig[v][u] = (back, label)
+    groups = {}
+    for n, by_node in sig.items():
+        seen = own[n]
+        grouped: dict = {}
+        for m, s in by_node.items():
+            grouped[s] = grouped.get(s, 0) | own[m]
+            seen |= own[m]
+        grouped[(MISSING, MISSING)] = full & ~seen
+        groups[n] = grouped
+    return groups
 
 
 def _agrees(ea: dict, eb: dict, n, m, n2, m2) -> bool:
     return ea.get((n, m), MISSING) == eb.get((n2, m2), MISSING)
 
 
-def max_clique(g: UndirectedGraph) -> frozenset:
-    """Exact maximum clique by branch and bound.
+def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
+    """Exact maximum clique by branch and bound over the neighbour masks
+    of ``g`` (an :class:`UndirectedGraph` or a :class:`CompatibilityGraph`).
 
     Candidates are greedily colored at every branch point; a partial clique
     extends only through vertices whose color class count can still beat
@@ -75,18 +137,13 @@ def max_clique(g: UndirectedGraph) -> frozenset:
     witness is canonical: the lexicographically smallest maximum clique in
     the node order of ``g``.
     """
-    index = {v: i for i, v in enumerate(g.nodes)}
-    n = len(g.nodes)
-    adj = [0] * n
-    for u, v in g.edges:
-        iu, iv = index[u], index[v]
-        adj[iu] |= 1 << iv
-        adj[iv] |= 1 << iu
+    nodes, adj = g.nodes, g.adjacency
+    n = len(nodes)
     size = _search(adj, (1 << n) - 1, 0, n)
-    return frozenset(g.nodes[i] for i in _bits(_lex_smallest_clique(adj, n, size)))
+    return frozenset(nodes[i] for i in _bits(_lex_smallest_clique(adj, n, size)))
 
 
-def _color_order(adj: list[int], cand: int) -> list[tuple[int, int]]:
+def _color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
     """Greedy coloring of the candidate set; returns (vertex, color) in
     coloring order.  Any clique inside ``cand`` has at most max-color
     vertices, which is the branch-and-bound upper bound."""
@@ -104,7 +161,7 @@ def _color_order(adj: list[int], cand: int) -> list[tuple[int, int]]:
     return order
 
 
-def _search(adj: list[int], cand: int, floor: int, stop: int) -> int:
+def _search(adj: tuple[int, ...], cand: int, floor: int, stop: int) -> int:
     """Size of the largest clique inside ``cand`` when it has more than
     ``floor`` vertices, else ``floor``.  Returns as soon as it holds a
     clique of ``stop`` vertices."""
@@ -128,7 +185,7 @@ def _search(adj: list[int], cand: int, floor: int, stop: int) -> int:
     return best
 
 
-def _lex_smallest_clique(adj: list[int], n: int, size: int) -> int:
+def _lex_smallest_clique(adj: tuple[int, ...], n: int, size: int) -> int:
     """Greedily pick the smallest-index vertices that still allow a clique
     of the target size; yields the canonical witness."""
     chosen = 0
@@ -153,7 +210,7 @@ def mcis(g, g2) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:
     returned pairs are checked to be an isomorphism of the subgraphs they
     induce before reporting."""
     comp = compatibility_graph(g, g2)
-    pairs = frozenset(comp.pair(i) for i in max_clique(comp.graph))
+    pairs = frozenset(comp.pair(i) for i in max_clique(comp))
     _check_isomorphism(g, g2, pairs)
     return len(pairs), pairs
 

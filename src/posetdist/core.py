@@ -187,6 +187,17 @@ class UndirectedGraph:
             adj[v].append(u)
         return {v: tuple(ws) for v, ws in adj.items()}
 
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """One neighbour bitmask per node, bit ``j`` for ``nodes[j]``."""
+        index = {v: i for i, v in enumerate(self.nodes)}
+        adj = [0] * len(self.nodes)
+        for u, v in self.edges:
+            iu, iv = index[u], index[v]
+            adj[iu] |= 1 << iv
+            adj[iv] |= 1 << iu
+        return tuple(adj)
+
     def has_edge(self, u, v) -> bool:
         return tuple(sorted((u, v))) in self.edge_set
 

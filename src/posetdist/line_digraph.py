@@ -73,11 +73,19 @@ def extended_line_digraph(g: LabeledDigraph) -> ExtendedLineDigraph:
     labels = {
         (u, v): (g.node_labels[u], g.node_labels[v]) for u, v in g.edges
     }
-    out: list[tuple[Edge, Edge, str]] = []
+    # Only edges that share an endpoint are related, so each edge meets the
+    # later edges incident to its two endpoints, in source edge order.
     edges = g.edges
+    incident: dict[str, list[int]] = {v: [] for v in g.nodes}
+    for j, (u, v) in enumerate(edges):
+        incident[u].append(j)
+        incident[v].append(j)
+    out: list[tuple[Edge, Edge, str]] = []
     for i, e in enumerate(edges):
-        for f in edges[i + 1 :]:
-            out.extend(_relate(e, f))
+        later = {j for j in incident[e[0]] if j > i}
+        later.update(j for j in incident[e[1]] if j > i)
+        for j in sorted(later):
+            out.extend(_relate(e, edges[j]))
     return ExtendedLineDigraph(edges, labels, tuple(out))
 
 

@@ -87,6 +87,37 @@ def subset_max_clique(ug: UndirectedGraph) -> frozenset:
     return frozenset()
 
 
+_ABSENT = object()
+
+
+def compatibility_edges_by_definition(g, g2) -> tuple[list, list]:
+    """The compatibility graph of two graphs, one vertex pair at a time.
+
+    The vertices are the label-matched pairs (n, n') whose self-loops carry
+    the same label or are both absent, in node order of ``g`` then ``g2``.
+    Vertices i < j are adjacent when their pairs share no coordinate and
+    (n, m) / (n', m') carry the same edge label, or are both absent, in
+    both orders.  Returns the pairs and the edges (i, j) in ascending
+    order."""
+    ea, eb = g.edge_label_map, g2.edge_label_map
+
+    def agrees(n, m, n2, m2) -> bool:
+        return ea.get((n, m), _ABSENT) == eb.get((n2, m2), _ABSENT)
+
+    pairs = [
+        (n, n2)
+        for n in g.nodes
+        for n2 in g2.nodes
+        if g.node_labels[n] == g2.node_labels[n2] and agrees(n, n, n2, n2)
+    ]
+    edges = []
+    for i, j in itertools.combinations(range(len(pairs)), 2):
+        (n, n2), (m, m2) = pairs[i], pairs[j]
+        if n != m and n2 != m2 and agrees(n, m, n2, m2) and agrees(m, n, m2, n2):
+            edges.append((i, j))
+    return pairs, edges
+
+
 def bfs_closure_edges(g: LabeledDigraph) -> set[tuple[str, str]]:
     """Transitive closure as reachability: edge (u, v) iff v is reachable
     from u in one or more steps, u != v."""

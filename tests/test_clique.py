@@ -1,7 +1,10 @@
 """Compatibility graphs, exact maximum clique, and the clique route."""
 
 import itertools
+import warnings
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
@@ -12,14 +15,49 @@ from posetdist import (
     Solver,
     UndirectedGraph,
     compatibility_graph,
+    d_n,
     dmces_bruteforce,
     dmces_via_clique,
     extended_line_digraph,
     max_clique,
     mcis,
 )
-from conftest import chain_pair, diamond_graph, seeded_graphs, undirected_graphs
-from oracles import subset_max_clique
+from conftest import (
+    chain_pair,
+    diamond_graph,
+    loopfree_digraphs,
+    raw_digraphs,
+    seeded_graphs,
+    undirected_graphs,
+)
+from oracles import compatibility_edges_by_definition, subset_max_clique
+
+
+def _quiet_eld(g):
+    """The extended line digraph, 2-cycles allowed (they only warn)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return extended_line_digraph(g)
+
+
+# Pairs of one graph type: labeled digraphs with self-loops and 2-cycles,
+# undirected graphs, and extended line digraphs of digraphs with 2-cycles.
+same_type_pairs = st.one_of(
+    st.tuples(raw_digraphs(max_nodes=5), raw_digraphs(max_nodes=5)),
+    st.tuples(undirected_graphs(max_nodes=6), undirected_graphs(max_nodes=6)),
+    st.tuples(
+        st.builds(_quiet_eld, loopfree_digraphs(max_nodes=4)),
+        st.builds(_quiet_eld, loopfree_digraphs(max_nodes=4)),
+    ),
+)
+
+
+# a -> a, a -> b against c -> d, all one label: a carries a self-loop that
+# nothing on the other side can match.
+def self_loop_pair() -> tuple[LabeledDigraph, LabeledDigraph]:
+    g = LabeledDigraph(("a", "b"), {"a": "x", "b": "x"}, (("a", "a"), ("a", "b")))
+    h = LabeledDigraph(("c", "d"), {"c": "x", "d": "x"}, (("c", "d"),))
+    return g, h
 
 
 class TestCompatibilityFigure:
@@ -84,6 +122,23 @@ class TestCompatibilityConstruction:
         idx = {p: i for i, p in enumerate(comp.pair_index)}
         assert not comp.graph.has_edge(idx[("u", "v'")], idx[("v", "u'")])
 
+    def test_self_loops_must_agree(self):
+        g, h = self_loop_pair()
+        assert compatibility_graph(g, h).pair_index == (("b", "c"), ("b", "d"))
+        assert compatibility_graph(g, g).pair_index == (("a", "a"), ("b", "b"))
+
+    @given(same_type_pairs)
+    def test_matches_pairwise_definition(self, pair):
+        comp = compatibility_graph(*pair)
+        pairs, edges = compatibility_edges_by_definition(*pair)
+        assert comp.pair_index == tuple(pairs)
+        assert comp.graph.edges == tuple(edges)
+
+    @given(same_type_pairs)
+    def test_search_on_masks_equals_search_on_graph(self, pair):
+        comp = compatibility_graph(*pair)
+        assert max_clique(comp) == max_clique(comp.graph)
+
 
 class TestMaxClique:
     def test_empty_graph(self):
@@ -123,12 +178,35 @@ class TestMaxClique:
     def test_deterministic_witness_stable(self, g):
         assert max_clique(g) == max_clique(g)
 
+    @given(undirected_graphs())
+    def test_adjacency_is_symmetric_and_matches_edges(self, g):
+        adj = g.adjacency
+        as_edges = {
+            (g.nodes[i], g.nodes[j])
+            for i in range(len(g.nodes))
+            for j in range(i + 1, len(g.nodes))
+            if adj[i] >> j & 1
+        }
+        assert as_edges == set(g.edges)
+        assert all(
+            (adj[i] >> j & 1) == (adj[j] >> i & 1)
+            for i in range(len(g.nodes))
+            for j in range(len(g.nodes))
+        )
+        assert not any(adj[i] >> i & 1 for i in range(len(g.nodes)))
+
 
 class TestMcis:
     def test_disjoint_labels_give_zero(self):
         g = LabeledDigraph(("a", "b"), {"a": "x", "b": "x"}, (("a", "b"),))
         h = LabeledDigraph(("c", "d"), {"c": "y", "d": "y"}, (("c", "d"),))
         assert mcis(g, h) == (0, frozenset())
+
+    def test_unmatched_self_loop_is_left_out(self):
+        g, h = self_loop_pair()
+        assert mcis(g, h) == (1, frozenset({("b", "c")}))
+        assert mcis(g, g) == (2, frozenset({("a", "a"), ("b", "b")}))
+        assert d_n(g, h) == Fraction(1, 2)
 
     def test_self_mcis_is_node_count(self):
         g = diamond_graph()

@@ -1,17 +1,21 @@
 """File formats and the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import posetdist
 from posetdist import (
     LabeledDigraph,
     ParseError,
     ValidationError,
     cli_main,
     extended_line_digraph,
+    generate_instance,
     graph_to_json,
     load_graph,
     load_poset,
@@ -366,6 +370,31 @@ class TestCliOtherCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mcis"] == 3
         assert sorted(payload["pairs"]) == [["u", "u'"], ["v", "v'"], ["w", "w'"]]
+
+    def test_mcis_with_an_unmatched_self_loop(self, tmp_path, capsys):
+        g = LabeledDigraph(("a", "b"), {"a": "x", "b": "x"}, (("a", "a"), ("a", "b")))
+        h = LabeledDigraph(("c", "d"), {"c": "x", "d": "x"}, (("c", "d"),))
+        a = graph_file(tmp_path, g, "a.json")
+        b = graph_file(tmp_path, h, "b.json")
+        assert cli_main(["mcis", a, b, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"mcis": 1, "pairs": [["b", "c"]]}
+
+    @pytest.mark.parametrize("hash_seed", ["1", "2", "3"])
+    def test_mcis_json_pairs_sorted_under_any_hash_seed(self, tmp_path, hash_seed):
+        a = graph_file(tmp_path, generate_instance("wso", 8, 2, 0.4, 1), "a.json")
+        b = graph_file(tmp_path, generate_instance("wso", 8, 2, 0.4, 2), "b.json")
+        src = str(Path(posetdist.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "posetdist.cli", "mcis", a, b, "--json"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0
+        pairs = json.loads(proc.stdout)["pairs"]
+        assert len(pairs) > 1
+        assert pairs == sorted(pairs)
 
     def test_eld_listing_and_dot(self, tmp_path, capsys):
         g, _ = chain_pair()
