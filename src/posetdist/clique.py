@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Hashable
 
 from .core import LabeledDigraph, UndirectedGraph, _bits
-from .isomorphism import MISSING
+from .isomorphism import MISSING, require_same_kind
 from .line_digraph import extended_line_digraph
 from .solvers import DmcesOutcome, NodeMatching, Solver, _outcome, _require
 
@@ -70,9 +70,11 @@ class CompatibilityGraph:
 
 
 def compatibility_graph(g, g2) -> CompatibilityGraph:
-    """Build the compatibility graph of two labeled digraphs (extended
-    line digraphs welcome; their HT/TT/HH edge labels then take part in
-    the agreement condition)."""
+    """Build the compatibility graph of two graphs of the same type
+    (extended line digraphs welcome; their HT/TT/HH edge labels then take
+    part in the agreement condition).  Raises :class:`KindMismatch` on two
+    graphs of different types."""
+    require_same_kind(g, g2)
     labels, labels2 = g.node_labels, g2.node_labels
     ea, eb = g.edge_label_map, g2.edge_label_map
     pairs = [
@@ -208,7 +210,8 @@ def mcis(g, g2) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:
     """Maximum common node-induced subgraph size of two graphs of the same
     type, via the maximum clique of their compatibility graph.  The
     returned pairs are checked to be an isomorphism of the subgraphs they
-    induce before reporting."""
+    induce before reporting.  Raises :class:`KindMismatch` on two graphs
+    of different types."""
     comp = compatibility_graph(g, g2)
     pairs = frozenset(comp.pair(i) for i in max_clique(comp))
     _check_isomorphism(g, g2, pairs)

@@ -6,10 +6,11 @@ The whole package works on two graph value types defined here:
 construction and iterate nodes/edges in deterministic insertion order, so
 every algorithm downstream is reproducible run to run.
 
-The per-call checks (the structural report and topological order) work on
-each graph's own adjacency.  Set-up and on-request graph work (transitive
-closure and reduction, line graphs, ancestors) is delegated to networkx;
-everything that carries domain meaning lives in this package.
+Every graph routine here (the structural report, topological order,
+transitive closure and reduction, poset construction, ancestors and line
+graphs) works on the graph's own adjacency, mostly as one out- and one
+in-neighbour bitmask per node; the package needs nothing beyond the
+standard library.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Hashable, Iterable, Mapping
-
-import networkx as nx
 
 from .errors import (
     AntisymmetryViolation,
@@ -117,12 +117,6 @@ class LabeledDigraph:
         for v in self.nodes:
             classes.setdefault(self.node_labels[v], []).append(v)
         return {a: tuple(vs) for a, vs in classes.items()}
-
-    def _nx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from(self.edges)
-        return g
 
     def relabel(self, mapping: Mapping[NodeId, NodeId]) -> "LabeledDigraph":
         """Rename nodes by a bijective id mapping, labels carried along."""
@@ -265,34 +259,27 @@ def validate_properties(g: LabeledDigraph) -> PropertyReport:
       transitive reduction is a single directed chain covering the class
       (a literal path and the closure of a path both qualify).
 
-    One pass over the edges builds an out- and an in-neighbour bitmask per
-    node (bit ``i`` is the node at position ``i`` of ``g.nodes``); every
-    flag is then read off those masks.
+    Every flag is read off the bitmasks of :func:`_adjacency_masks`.
     """
-    index = {v: i for i, v in enumerate(g.nodes)}
+    index, out, inn = _adjacency_masks(g)
     n = len(index)
-    out = [0] * n
-    inn = [0] * n
-    pairs = []
-    for u, v in g.edges:
-        i, j = index[u], index[v]
-        out[i] |= 1 << j
-        inn[j] |= 1 << i
-        pairs.append((i, j))
     everything = (1 << n) - 1
     oriented = not any(a & b for a, b in zip(out, inn))
-    closed = all(not out[j] & ~(out[i] | 1 << i) for i, j in pairs)
+    closed = all(
+        not out[index[v]] & ~(out[index[u]] | 1 << index[u]) for u, v in g.edges
+    )
     per_label = all(
         _unique_order(out, inn, sum(1 << index[v] for v in class_nodes))
         for class_nodes in g.label_classes.values()
     )
     return PropertyReport(
-        is_weakly_connected=n <= 1 or _reach(out, inn) == everything,
+        is_weakly_connected=n <= 1
+        or _reach([a | b for a, b in zip(out, inn)], 1) == everything,
         is_simple=not any(o >> i & 1 for i, o in enumerate(out)),
         is_oriented=oriented,
         # Closure shortens any cycle to a 2-cycle or a self-loop, and
         # orientation rules both out, so only the other graphs need Kahn.
-        is_acyclic=oriented and closed or _peel(out, inn, everything)[0],
+        is_acyclic=oriented and closed or len(_peel(out, inn, everything)[0]) == n,
         is_transitively_closed=closed,
         per_label_path=per_label,
     )
@@ -306,47 +293,86 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _reach(out: list[int], inn: list[int]) -> int:
-    """Mask of the nodes joined to node 0 by an undirected path."""
-    seen = frontier = 1
+def _adjacency_masks(g: LabeledDigraph) -> tuple[dict[NodeId, int], list[int], list[int]]:
+    """The position of every node in ``g.nodes``, and one out- and one
+    in-neighbour bitmask per node: bit ``j`` of ``out[i]`` is set when
+    ``g`` has the edge ``nodes[i] -> nodes[j]``, and then bit ``i`` of
+    ``inn[j]`` is set too.  Built afresh on every call, so no graph holds
+    the masks after it."""
+    index = {v: i for i, v in enumerate(g.nodes)}
+    out = [0] * len(index)
+    inn = [0] * len(index)
+    for u, v in g.edges:
+        i, j = index[u], index[v]
+        out[i] |= 1 << j
+        inn[j] |= 1 << i
+    return index, out, inn
+
+
+def _descendants(out: list[int], inn: list[int]) -> list[int]:
+    """Mask of the nodes reachable from each node by a path of one or more
+    edges.  A node on a cycle, a self-loop included, has its own bit.
+
+    The nodes in Kahn's order take the OR over their out-neighbours, in
+    reverse.  Kahn leaves out every node that a cycle reaches, and every
+    descendant of such a node is left out too, so on a cyclic graph each
+    node first gets its mask by a direct search.
+    """
+    n = len(out)
+    order = _peel(out, inn, (1 << n) - 1)[0]
+    desc = [0] * n if len(order) == n else [_reach(out, o) for o in out]
+    for i in reversed(order):
+        desc[i] = out[i] | _union(desc, out[i])
+    return desc
+
+
+def _union(masks: list[int], mask: int) -> int:
+    """The OR of ``masks[j]`` over the set bits ``j`` of ``mask``."""
+    union = 0
+    for j in _bits(mask):
+        union |= masks[j]
+    return union
+
+
+def _reach(adj: list[int], seen: int) -> int:
+    """Mask of the nodes of ``seen`` and of every node reachable from them
+    along the neighbour masks ``adj``."""
+    frontier = seen
     while frontier:
-        step = 0
-        for i in _bits(frontier):
-            step |= out[i] | inn[i]
-        frontier = step & ~seen
+        frontier = _union(adj, frontier) & ~seen
         seen |= frontier
     return seen
 
 
-def _peel(out: list[int], inn: list[int], mask: int) -> tuple[bool, bool]:
+def _peel(out: list[int], inn: list[int], mask: int) -> tuple[list[int], bool]:
     """Kahn's algorithm on the subgraph induced by ``mask``.
 
-    Returns whether it removed every node, which holds exactly when the
-    subgraph is acyclic (a node on or after a cycle, self-loops included,
-    never becomes a source), and whether exactly one source was ready at
-    every step.
+    Returns the nodes in the order it removed them, which is all of them
+    exactly when the subgraph is acyclic (a node on or after a cycle,
+    self-loops included, never becomes a source), and whether exactly one
+    source was ready at every step.
     """
     indeg = {i: (inn[i] & mask).bit_count() for i in _bits(mask)}
     ready = [i for i, d in indeg.items() if not d]
-    removed = 0
+    order = []
     unique = True
     while ready:
         unique = unique and len(ready) == 1
         i = ready.pop()
-        removed += 1
+        order.append(i)
         for j in _bits(out[i] & mask):
             indeg[j] -= 1
             if not indeg[j]:
                 ready.append(j)
-    return removed == len(indeg), unique
+    return order, unique
 
 
 def _unique_order(out: list[int], inn: list[int], mask: int) -> bool:
     """True iff the subgraph induced by ``mask`` is acyclic and its
     transitive reduction is one directed path through all of it, that is,
     iff it has exactly one topological order."""
-    acyclic, unique = _peel(out, inn, mask)
-    return acyclic and unique
+    order, unique = _peel(out, inn, mask)
+    return unique and len(order) == mask.bit_count()
 
 
 def induced_subgraph(g: LabeledDigraph, keep: Iterable[NodeId]) -> LabeledDigraph:
@@ -389,17 +415,19 @@ def build_poset_digraph(
             raise ValueError(f"relation ({p!r}, {q!r}) references an undeclared element")
         if p != q:
             pairs.add((p, q))
-    nxg = nx.DiGraph()
-    nxg.add_nodes_from(ids)
-    nxg.add_edges_from(sorted(pairs))
-    closure = nx.transitive_closure(nxg, reflexive=False)
-    for p, q in closure.edges:
-        if closure.has_edge(q, p):
+    labels = dict(elems)
+    _, out, inn = _adjacency_masks(LabeledDigraph(ids, labels, pairs))
+    desc = _descendants(out, inn)
+    for i, d in enumerate(desc):
+        if d >> i & 1:
+            # the first element on a cycle, and its smallest successor back
+            p = ids[i]
+            q = min(ids[j] for j in _bits(out[i]) if desc[j] >> i & 1)
             raise AntisymmetryViolation(f"{p!r} <= {q!r} and {q!r} <= {p!r}")
-    edges = sorted(closure.edges)
+    edges = _edges(ids, desc)
     if not edges:
         raise DegeneratePoset("order relation yields no edges")
-    g = LabeledDigraph(ids, dict(elems), edges)
+    g = LabeledDigraph(ids, labels, edges)
     if not g.report.is_weakly_connected:
         raise NotWeaklyConnected("order relation does not connect all elements")
     return PosetDigraph(g)
@@ -416,20 +444,17 @@ def structure(g: LabeledDigraph) -> UndirectedGraph:
 
 def line_graph(g: UndirectedGraph) -> UndirectedGraph:
     """The line graph: one node per edge of ``g``, adjacent iff the edges
-    share an endpoint."""
-    lg = nx.line_graph(_nx_undirected(g))
-    nodes = sorted(tuple(sorted(e)) for e in g.edges)
+    share an endpoint.  Nodes and edges come out sorted."""
+    incident: dict[Hashable, list] = {v: [] for v in g.nodes}
+    for e in g.edges:
+        incident[e[0]].append(e)
+        incident[e[1]].append(e)
     edges = sorted(
-        tuple(sorted((tuple(sorted(a)), tuple(sorted(b))))) for a, b in lg.edges
+        (a, b) if a < b else (b, a)
+        for es in incident.values()
+        for a, b in combinations(es, 2)
     )
-    return UndirectedGraph(nodes, edges)
-
-
-def _nx_undirected(g: UndirectedGraph) -> nx.Graph:
-    nxg = nx.Graph()
-    nxg.add_nodes_from(g.nodes)
-    nxg.add_edges_from(g.edges)
-    return nxg
+    return UndirectedGraph(sorted(g.edges), edges)
 
 
 def predecessors(g: LabeledDigraph, v: NodeId) -> frozenset[NodeId]:
@@ -437,7 +462,9 @@ def predecessors(g: LabeledDigraph, v: NodeId) -> frozenset[NodeId]:
     not merely in-neighbors; the two coincide on transitive closures)."""
     if v not in g.node_labels:
         raise ValueError(f"unknown node {v!r}")
-    return frozenset(nx.ancestors(g._nx(), v))
+    index, _, inn = _adjacency_masks(g)
+    i = index[v]
+    return frozenset(g.nodes[j] for j in _bits(_reach(inn, inn[i]) & ~(1 << i)))
 
 
 def topological_sort(g: LabeledDigraph) -> list[NodeId]:
@@ -461,17 +488,30 @@ def topological_sort(g: LabeledDigraph) -> list[NodeId]:
 def transitive_closure(g: LabeledDigraph) -> LabeledDigraph:
     """Add (u, w) for every directed path u -> ... -> w.  Edges of the
     result are emitted in sorted order, so equal closures compare equal."""
-    nxg = g._nx()
-    if not nx.is_directed_acyclic_graph(nxg):
-        raise CycleDetected("transitive closure requires an acyclic graph")
-    closed = nx.transitive_closure_dag(nxg)
-    return LabeledDigraph(g.nodes, g.node_labels, sorted(closed.edges))
+    _, desc = _dag_masks(g, "transitive closure")
+    return LabeledDigraph(g.nodes, g.node_labels, _edges(g.nodes, desc))
 
 
 def transitive_reduction(g: LabeledDigraph) -> LabeledDigraph:
     """Remove every edge implied by a longer path (the covering relation)."""
-    nxg = g._nx()
-    if not nx.is_directed_acyclic_graph(nxg):
-        raise CycleDetected("transitive reduction requires an acyclic graph")
-    red = nx.transitive_reduction(nxg)
-    return LabeledDigraph(g.nodes, g.node_labels, sorted(red.edges))
+    out, desc = _dag_masks(g, "transitive reduction")
+    # on a DAG no node is its own descendant, so (u, v) is implied by a
+    # longer path exactly when v descends from some out-neighbour of u
+    covers = [o & ~_union(desc, o) for o in out]
+    return LabeledDigraph(g.nodes, g.node_labels, _edges(g.nodes, covers))
+
+
+def _dag_masks(g: LabeledDigraph, operation: str) -> tuple[list[int], list[int]]:
+    """The out-neighbour and descendant masks of ``g``; raises
+    CycleDetected when some node is its own descendant."""
+    _, out, inn = _adjacency_masks(g)
+    desc = _descendants(out, inn)
+    if any(d >> i & 1 for i, d in enumerate(desc)):
+        raise CycleDetected(f"{operation} requires an acyclic graph")
+    return out, desc
+
+
+def _edges(nodes, masks: list[int]) -> list[Edge]:
+    """The edges ``nodes[i] -> nodes[j]`` for every bit ``j`` of
+    ``masks[i]``, sorted."""
+    return sorted((nodes[i], nodes[j]) for i, m in enumerate(masks) for j in _bits(m))

@@ -55,6 +55,15 @@ def _signature(g, v) -> tuple:
     )
 
 
+def require_same_kind(g, g2) -> None:
+    """Raise :class:`KindMismatch` unless ``g`` and ``g2`` are of one type,
+    and that type has an ``edge_label_map``."""
+    if type(g) is not type(g2):
+        raise KindMismatch(f"cannot compare {type(g).__name__} with {type(g2).__name__}")
+    if not hasattr(g, "edge_label_map"):
+        raise KindMismatch(f"unsupported graph type {type(g).__name__}")
+
+
 def find_isomorphism(g, g2) -> Optional[Bijection]:
     """Search for a label-respecting isomorphism from ``g`` onto ``g2``.
 
@@ -62,13 +71,9 @@ def find_isomorphism(g, g2) -> Optional[Bijection]:
     order, each image minimal), or None when the graphs are not isomorphic.
     Edge labels take part (the HT/TT/HH tags of extended line digraphs).
 
-    Raises :class:`KindMismatch` when the two graphs are of different types,
-    or of a type without ``edge_label_map``.
+    Raises :class:`KindMismatch` as :func:`require_same_kind` does.
     """
-    if type(g) is not type(g2):
-        raise KindMismatch(f"cannot compare {type(g).__name__} with {type(g2).__name__}")
-    if not hasattr(g, "edge_label_map"):
-        raise KindMismatch(f"unsupported graph type {type(g).__name__}")
+    require_same_kind(g, g2)
     ea, eb = g.edge_label_map, g2.edge_label_map
     if len(g.nodes) != len(g2.nodes) or len(ea) != len(eb):
         return None

@@ -120,12 +120,11 @@ def d_n(g, g2) -> Fraction:
     """Node-overlap distance: one minus the maximum common node-induced
     subgraph size over the larger node count.  Accepts any labeled
     digraphs, including extended line digraphs (edge labels respected).
-    Two empty graphs are at distance 0."""
-    n = max(len(g.nodes), len(g2.nodes))
-    if n == 0:
-        return Fraction(0)
+    Two empty graphs are at distance 0.  Raises :class:`KindMismatch` on
+    two graphs of different types, as :func:`mcis` does."""
     size, _ = mcis(g, g2)
-    return 1 - Fraction(size, n)
+    n = max(len(g.nodes), len(g2.nodes))
+    return 1 - Fraction(size, n) if n else Fraction(0)
 
 
 def poset_distance(p: PosetDigraph, p2: PosetDigraph) -> DistanceResult:

@@ -33,13 +33,48 @@ def perm_isomorphic(g: LabeledDigraph, g2: LabeledDigraph) -> bool:
     return False
 
 
+def _nx_digraph(g: LabeledDigraph) -> nx.DiGraph:
+    nxg = nx.DiGraph()
+    nxg.add_nodes_from(g.nodes)
+    nxg.add_edges_from(g.edges)
+    return nxg
+
+
+def closure_by_networkx(g: LabeledDigraph) -> list[tuple[str, str]]:
+    """networkx's transitive closure without reflexive pairs, edges sorted."""
+    return sorted(nx.transitive_closure(_nx_digraph(g), reflexive=False).edges)
+
+
+def reduction_by_networkx(g: LabeledDigraph) -> list[tuple[str, str]]:
+    """networkx's transitive reduction of a DAG, edges sorted."""
+    return sorted(nx.transitive_reduction(_nx_digraph(g)).edges)
+
+
+def ancestors_by_networkx(g: LabeledDigraph, v: str) -> frozenset:
+    return frozenset(nx.ancestors(_nx_digraph(g), v))
+
+
+def topological_order_by_networkx(g: LabeledDigraph) -> list[str]:
+    return list(nx.lexicographical_topological_sort(_nx_digraph(g)))
+
+
+def line_graph_by_networkx(ug: UndirectedGraph) -> tuple[list, list]:
+    """networkx's line graph of ``ug``: its nodes and its edges, each edge
+    and each pair of edges written in sorted order, both lists sorted."""
+    nxg = nx.Graph()
+    nxg.add_nodes_from(ug.nodes)
+    nxg.add_edges_from(ug.edges)
+    lg = nx.line_graph(nxg)
+    nodes = sorted(tuple(sorted(e)) for e in lg.nodes)
+    edges = sorted(tuple(sorted((tuple(sorted(a)), tuple(sorted(b))))) for a, b in lg.edges)
+    return nodes, edges
+
+
 def report_by_networkx(g: LabeledDigraph) -> PropertyReport:
     """The structural report, each flag from its definition through
     networkx: connectivity and acyclicity tests on the whole graph, and a
     transitive reduction per label class that must be one path."""
-    nxg = nx.DiGraph()
-    nxg.add_nodes_from(g.nodes)
-    nxg.add_edges_from(g.edges)
+    nxg = _nx_digraph(g)
     edges = set(g.edges)
     simple = all(u != v for u, v in g.edges)
     closed = all(
@@ -134,6 +169,19 @@ def bfs_closure_edges(g: LabeledDigraph) -> set[tuple[str, str]]:
             queue.extend(out[cur])
         closure.update((start, v) for v in seen if v != start)
     return closure
+
+
+def antisymmetry_pair(g: LabeledDigraph):
+    """The pair that a poset build from ``g``'s edges (self-loops dropped)
+    names when the relation has a cycle: the first node in node order that
+    lies on a cycle, with its smallest successor that reaches back to it.
+    None when the relation has no cycle."""
+    closure = bfs_closure_edges(g)
+    for p in g.nodes:
+        for q in sorted(g.out_neighbors[p]):
+            if q != p and (q, p) in closure:
+                return p, q
+    return None
 
 
 def score_by_definition(g, g2, phi: dict) -> int:

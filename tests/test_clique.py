@@ -10,6 +10,7 @@ from hypothesis import example, given
 
 import posetdist.clique as clique_module
 from posetdist import (
+    KindMismatch,
     LabeledDigraph,
     PropertyViolation,
     Solver,
@@ -207,6 +208,21 @@ class TestMcis:
         assert mcis(g, h) == (1, frozenset({("b", "c")}))
         assert mcis(g, g) == (2, frozenset({("a", "a"), ("b", "b")}))
         assert d_n(g, h) == Fraction(1, 2)
+
+    def test_kind_mismatch(self):
+        g = LabeledDigraph(("a", "b"), dict.fromkeys("ab", "x"), (("a", "b"),))
+        ug = UndirectedGraph(("a", "b"), (("a", "b"),))
+        for call in (compatibility_graph, mcis, d_n):
+            with pytest.raises(
+                KindMismatch, match="^cannot compare LabeledDigraph with UndirectedGraph$"
+            ):
+                call(g, ug)
+        with pytest.raises(KindMismatch):
+            mcis(extended_line_digraph(g), g)
+        with pytest.raises(KindMismatch):
+            d_n(LabeledDigraph((), {}, ()), UndirectedGraph((), ()))
+        with pytest.raises(KindMismatch, match="unsupported"):
+            mcis(object(), object())
 
     def test_self_mcis_is_node_count(self):
         g = diamond_graph()

@@ -2,7 +2,6 @@
 
 import itertools
 
-import networkx as nx
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -33,7 +32,16 @@ from conftest import (
     seeded_graphs,
     triangle,
 )
-from oracles import bfs_closure_edges, report_by_networkx
+from oracles import (
+    ancestors_by_networkx,
+    antisymmetry_pair,
+    bfs_closure_edges,
+    closure_by_networkx,
+    line_graph_by_networkx,
+    reduction_by_networkx,
+    report_by_networkx,
+    topological_order_by_networkx,
+)
 
 
 def dag_from(g: LabeledDigraph) -> LabeledDigraph:
@@ -68,6 +76,16 @@ def shuffled_dags(draw, max_nodes: int = 9):
     pool = [(a, b) for i, a in enumerate(ranks) for b in ranks[i + 1 :]]
     edges = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
     return LabeledDigraph(ids, dict.fromkeys(ids, "x"), draw(st.permutations(edges)))
+
+
+@st.composite
+def shuffled_undirected(draw, max_nodes: int = 8):
+    """Undirected graphs with shuffled ids, each edge given either way round."""
+    n = draw(st.integers(0, max_nodes))
+    ids = draw(st.permutations([f"{chr(97 + i)}{i % 3}" for i in range(n)]))
+    pool = [(a, b) for a in ids for b in ids if a != b]
+    edges = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    return UndirectedGraph(ids, edges)
 
 
 class TestLabeledDigraph:
@@ -278,6 +296,58 @@ class TestBuildPoset:
         with pytest.raises(PropertyViolation):
             PosetDigraph(LabeledDigraph(("a",), {"a": "x"}, (("a", "a"),)))
 
+    @pytest.mark.parametrize(
+        "ids, relations, pair",
+        [
+            ("ab", ["ab", "ba"], "ab"),
+            ("abc", ["ab", "bc", "ca"], "ab"),
+            # p's smallest successor q does not reach back; s does
+            ("pqrs", ["pq", "ps", "sp", "qr"], "ps"),
+            # the first element on a cycle is d, not a
+            ("dcba", ["ab", "ba", "cd", "dc"], "dc"),
+            # x only leads into the cycle
+            ("xab", ["xa", "ab", "ba"], "ab"),
+            ("abcd", ["dc", "cb", "ba", "ad", "aa"], "ad"),
+        ],
+    )
+    def test_antisymmetry_message_names_the_pinned_pair(self, ids, relations, pair):
+        p, q = pair
+        with pytest.raises(AntisymmetryViolation) as info:
+            build_poset_digraph([(v, "x") for v in ids], relations)
+        assert str(info.value) == f"{p!r} <= {q!r} and {q!r} <= {p!r}"
+
+    @given(any_digraphs())
+    def test_antisymmetry_pair_and_closure_by_definition(self, g):
+        elements = [(v, g.node_labels[v]) for v in g.nodes]
+        expected = antisymmetry_pair(g)
+        try:
+            p = build_poset_digraph(elements, g.edges)
+        except AntisymmetryViolation as exc:
+            a, b = expected
+            assert str(exc) == f"{a!r} <= {b!r} and {b!r} <= {a!r}"
+            return
+        except (DegeneratePoset, NotWeaklyConnected):
+            assert expected is None
+            return
+        assert expected is None
+        assert p.graph.edges == tuple(sorted(bfs_closure_edges(g)))
+
+    @given(shuffled_dags(), st.data())
+    def test_edges_match_networkx_closure(self, g, data):
+        nodes = st.sampled_from(g.nodes) if g.nodes else st.nothing()
+        loops = [(v, v) for v in data.draw(st.lists(nodes))]
+        elements = [(v, g.node_labels[v]) for v in g.nodes]
+        relations = data.draw(st.permutations([*g.edges, *loops]))
+        expected = closure_by_networkx(g)
+        if not expected:
+            with pytest.raises(DegeneratePoset):
+                build_poset_digraph(elements, relations)
+        elif not report_by_networkx(g).is_weakly_connected:
+            with pytest.raises(NotWeaklyConnected):
+                build_poset_digraph(elements, relations)
+        else:
+            assert list(build_poset_digraph(elements, relations).graph.edges) == expected
+
     @given(loopfree_digraphs())
     def test_output_always_closed_and_acyclic(self, g):
         dag = dag_from(g)
@@ -309,6 +379,11 @@ class TestStructureAndLineGraph:
         assert lg.nodes == (("a", "b"), ("b", "c"))
         assert lg.edges == ((("a", "b"), ("b", "c")),)
 
+    @given(shuffled_undirected())
+    def test_line_graph_matches_networkx(self, ug):
+        lg = line_graph(ug)
+        assert (list(lg.nodes), list(lg.edges)) == line_graph_by_networkx(ug)
+
     def test_line_graphs_of_star_and_triangle_coincide(self):
         y = UndirectedGraph("cabd", (("c", "a"), ("c", "b"), ("c", "d")))
         tri = UndirectedGraph("abc", (("a", "b"), ("b", "c"), ("a", "c")))
@@ -338,29 +413,45 @@ class TestOrderUtilities:
         order = {v: i for i, v in enumerate(topological_sort(g))}
         assert all(order[u] < order[v] for u, v in g.edges)
 
+    @given(any_digraphs())
+    @example(LabeledDigraph(("a", "b"), dict.fromkeys("ab", "x"), (("a", "b"), ("b", "a"))))
+    @example(LabeledDigraph(("a", "b"), dict.fromkeys("ab", "x"), (("a", "a"), ("a", "b"))))
+    def test_predecessors_match_networkx(self, g):
+        # cycles and self-loops included: v is never its own predecessor
+        for v in g.nodes:
+            assert predecessors(g, v) == ancestors_by_networkx(g, v)
+
     @given(shuffled_dags())
     def test_topological_sort_matches_networkx(self, g):
-        nxg = nx.DiGraph()
-        nxg.add_nodes_from(g.nodes)
-        nxg.add_edges_from(g.edges)
-        assert topological_sort(g) == list(nx.lexicographical_topological_sort(nxg))
+        assert topological_sort(g) == topological_order_by_networkx(g)
 
     def test_cycle_detected(self):
         with pytest.raises(CycleDetected):
             topological_sort(triangle("cyclic"))
+        loop = LabeledDigraph(("a", "b"), dict.fromkeys("ab", "x"), (("a", "a"),))
         with pytest.raises(CycleDetected):
-            topological_sort(
-                LabeledDigraph(("a", "b"), dict.fromkeys("ab", "x"), (("a", "a"),))
-            )
-        with pytest.raises(CycleDetected):
-            transitive_closure(triangle("cyclic"))
-        with pytest.raises(CycleDetected):
-            transitive_reduction(triangle("cyclic"))
+            topological_sort(loop)
+        for g in (triangle("cyclic"), loop):
+            with pytest.raises(
+                CycleDetected, match="^transitive closure requires an acyclic graph$"
+            ):
+                transitive_closure(g)
+            with pytest.raises(
+                CycleDetected, match="^transitive reduction requires an acyclic graph$"
+            ):
+                transitive_reduction(g)
 
     @given(loopfree_digraphs())
     def test_closure_matches_reachability_oracle(self, g):
         dag = dag_from(g)
         assert set(transitive_closure(dag).edges) == bfs_closure_edges(dag)
+
+    @given(shuffled_dags())
+    def test_closure_and_reduction_match_networkx(self, g):
+        closed = transitive_closure(g)
+        assert list(closed.edges) == closure_by_networkx(g)
+        assert list(transitive_reduction(g).edges) == reduction_by_networkx(g)
+        assert list(transitive_reduction(closed).edges) == reduction_by_networkx(closed)
 
     @given(loopfree_digraphs())
     def test_closure_idempotent_and_reduction_inverts(self, g):

@@ -518,6 +518,45 @@ class TestCliExitCodes:
         assert cli_main(["distance", path, path]) == 1
         assert "internal error" in capsys.readouterr().err
 
+    def test_runtime_never_imports_networkx(self, tmp_path):
+        # networkx is a test oracle only; with its import blocked, the
+        # generator, the order utilities, the ELD cross-check and the CLI
+        # must all still run
+        script = """
+import sys
+sys.modules["networkx"] = None
+import posetdist as pd
+
+out, poset = sys.argv[1:]
+for kind in pd.KINDS:
+    pd.generate_instance(kind, 8, 2, 0.4, 1)
+p = pd.build_poset_digraph([("a", "x"), ("b", "x"), ("c", "y")], [("a", "b"), ("b", "c")])
+pd.transitive_reduction(p.graph)
+pd.predecessors(p.graph, "c")
+assert pd.structure_commutes(pd.generate_instance("wso", 8, 2, 0.4, 1))
+gen = ["gen", "--kind", "closure", "--nodes", "6", "--labels", "2",
+       "--density", "0.5", "--seed", "1", "--out", out]
+assert pd.cli_main(gen) == 0
+assert pd.cli_main(["distance", "--poset", poset, poset]) == 0
+"""
+        src = str(Path(posetdist.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                script,
+                str(tmp_path / "g.json"),
+                write(tmp_path / "p.json", POSET_CHAIN),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert load_graph(tmp_path / "g.json").report.is_transitively_closed
+
     def test_module_entry_point(self, tmp_path):
         g, _ = chain_pair()
         path = graph_file(tmp_path, g, "a.json")
