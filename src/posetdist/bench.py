@@ -26,7 +26,7 @@ _SOLVERS_BY_KIND = {
     "path-closure": (Solver.BRUTE, Solver.ALG2, Solver.ALG3),
 }
 _BRUTE_LIMIT = 10  # nodes; beyond this the oracle is skipped
-_CLIQUE_LIMIT = 400  # |D| * |D'|; beyond this the clique route is skipped
+_CLIQUE_LIMIT = 1000  # |D| * |D'|; beyond this the clique route is skipped
 
 CSV_FIELDS = ("solver", "n_nodes", "n_edges", "value", "elapsed_ms", "agree")
 

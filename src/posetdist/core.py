@@ -111,6 +111,17 @@ class LabeledDigraph:
         return validate_properties(self)
 
     @cached_property
+    def edge_label_pairs(self) -> dict[tuple[str, str], int]:
+        """The edge-label-pair histogram: how many edges run from a node
+        labeled ``a`` to a node labeled ``b``, for every such ``(a, b)``."""
+        counts: dict[tuple[str, str], int] = {}
+        labels = self.node_labels
+        for u, v in self.edges:
+            key = (labels[u], labels[v])
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    @cached_property
     def label_classes(self) -> dict[str, tuple[NodeId, ...]]:
         """Nodes grouped by label, insertion order inside each class."""
         classes: dict[str, list[NodeId]] = {}

@@ -32,7 +32,16 @@ from .solvers import (
 )
 
 AUTO = "auto"
-_CLIQUE_AUTO_LIMIT = 10_000  # |D| * |D'| above this, clique reduction is a bad idea
+# Open pairs take the clique route up to this edge product |E| * |E'|.  It
+# bounds memory, not time: the compatibility graph has k <= |E| * |E'|
+# vertices, one k-bit neighbour mask each, about 12.5 MB at this limit.
+_CLIQUE_AUTO_LIMIT = 10_000
+# Closure pairs that are not all chains take the clique route up to this
+# many compatibility-graph vertices k, alg2 beyond.  On a seeded grid of
+# 8-14-node closures the clique search was faster on most pairs, but lost
+# by more than 0.1 s from k = 240 and by seconds past k of about 400
+# (the crossover table is in CHANGES.md).
+_CLOSURE_CLIQUE_GATE = 230
 
 
 @dataclass(frozen=True)
@@ -76,9 +85,21 @@ def solve(
     return dmces_via_clique(g, g2)
 
 
+def _compat_vertices(g: LabeledDigraph, g2: LabeledDigraph) -> int:
+    """The vertex count k of the compatibility graph the clique route would
+    search: the label-matched pairs of nodes of the two extended line
+    digraphs, that is the edge pairs (e, e') with equal endpoint labels,
+    read off the two edge-label-pair histograms."""
+    other = g2.edge_label_pairs
+    return sum(n * other.get(key, 0) for key, n in g.edge_label_pairs.items())
+
+
 def choose_solver(g: LabeledDigraph, g2: LabeledDigraph) -> Solver:
-    """The `auto` policy: the most-pruned solver whose preconditions hold,
-    clique reduction for small edge products, plain recursion otherwise."""
+    """The `auto` policy.  Two transitive closures go to alg3 when every
+    label class is a chain in both, else to the clique route when their
+    compatibility graph has at most ``_CLOSURE_CLIQUE_GATE`` vertices, else
+    to alg2.  Any other pair goes to the clique route when its edge product
+    is at most ``_CLIQUE_AUTO_LIMIT``, else to alg1."""
     ra, rb = g.report, g2.report
     closures = (
         ra.is_acyclic
@@ -89,6 +110,8 @@ def choose_solver(g: LabeledDigraph, g2: LabeledDigraph) -> Solver:
     if closures and ra.per_label_path and rb.per_label_path:
         return Solver.ALG3
     if closures:
+        if _compat_vertices(g, g2) <= _CLOSURE_CLIQUE_GATE:
+            return Solver.CLIQUE
         return Solver.ALG2
     if len(g.edges) * len(g2.edges) <= _CLIQUE_AUTO_LIMIT:
         return Solver.CLIQUE
@@ -130,6 +153,7 @@ def d_n(g, g2) -> Fraction:
 def poset_distance(p: PosetDigraph, p2: PosetDigraph) -> DistanceResult:
     """Distance between two labeled partial orders: ``d_e`` of their
     digraphs under the ``auto`` policy, which picks the chain-aware solver
-    when every label class is a chain in both, the order-respecting solver
-    otherwise."""
+    when every label class is a chain in both, the clique route when the
+    compatibility graph is small (see :func:`choose_solver`), and the
+    order-respecting solver otherwise."""
     return d_e(p.graph, p2.graph)

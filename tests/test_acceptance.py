@@ -38,6 +38,7 @@ from posetdist import (
     score,
     untwist,
 )
+from posetdist.bench import _CLIQUE_LIMIT
 from conftest import budget_pair, chain_pair, diamond_graph, equal_score_twist, star, triangle
 from oracles import admces, iter_matchings
 
@@ -60,7 +61,6 @@ def leaf_estimate(g, g2) -> int:
 
 
 _BRUTE_LEAF_GATE = 150_000
-_CLIQUE_EDGE_GATE = 400
 
 
 def test_criterion_01_edge_digraph_figure():
@@ -180,7 +180,7 @@ def test_criterion_05_cross_solver_agreement():
             if leaf_estimate(g, g2) <= _BRUTE_LEAF_GATE:
                 values["brute"] = dmces_bruteforce(g, g2).value
                 brute_runs[kind] += 1
-            if len(g.edges) * len(g2.edges) <= _CLIQUE_EDGE_GATE:
+            if len(g.edges) * len(g2.edges) <= _CLIQUE_LIMIT:
                 values["clique"] = dmces_via_clique(g, g2).value
             if kind in ("closure", "path-closure"):
                 values["alg2"] = dmces_alg2(g, g2).value

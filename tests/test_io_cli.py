@@ -323,6 +323,20 @@ class TestCliDistance:
             assert a in g.node_labels and b in g2.node_labels
             assert g.node_labels[a] == g2.node_labels[b]
 
+    def test_small_branching_closures_take_the_clique_route(self, tmp_path, capsys):
+        g, g2 = (generate_instance("closure", 10, 3, 0.3, s) for s in (0, 1))
+        assert not g.report.per_label_path
+        files = [graph_file(tmp_path, g, "a.json"), graph_file(tmp_path, g2, "b.json")]
+        payloads = []
+        for extra in ([], ["--solver", "alg2"]):
+            assert cli_main(["distance", *files, "--json", *extra]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        auto, alg2 = payloads
+        assert auto["solver"] == "clique"
+        assert alg2["solver"] == "alg2"
+        assert auto["dmces"] == alg2["dmces"]
+        assert auto["distance_exact"] == alg2["distance_exact"]
+
     def test_poset_mode(self, tmp_path, capsys):
         code = cli_main(
             [

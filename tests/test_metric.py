@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import posetdist.core as core_module
+import posetdist.metric as metric_module
 from posetdist import (
     DegenerateInput,
     DistanceResult,
@@ -15,8 +17,10 @@ from posetdist import (
     Solver,
     build_poset_digraph,
     choose_solver,
+    compatibility_graph,
     d_e,
     d_n,
+    dmces_alg2,
     extended_line_digraph,
     generate_instance,
     poset_distance,
@@ -32,6 +36,12 @@ def long_open_path(n: int) -> LabeledDigraph:
         ids,
         dict.fromkeys(ids, "a"),
         [(ids[i], ids[i + 1]) for i in range(n - 1)],
+    )
+
+
+def closure_pair(nodes: int, labels: int, density: float, seed: int):
+    return tuple(
+        generate_instance("closure", nodes, labels, density, s) for s in (seed, seed + 1)
     )
 
 
@@ -63,11 +73,42 @@ class TestChooseSolver:
         g, g2 = chain_pair()
         assert choose_solver(g, g2) is Solver.ALG3
 
-    def test_branching_closures_get_the_order_solver(self):
+    def test_small_branching_closures_get_the_clique_route(self):
         fork = LabeledDigraph(
             ("a", "b", "c"), dict.fromkeys("abc", "x"), (("a", "b"), ("a", "c"))
         )
-        assert choose_solver(fork, fork) is Solver.ALG2
+        assert choose_solver(fork, fork) is Solver.CLIQUE
+        g, g2 = closure_pair(10, 3, 0.3, 0)
+        assert not g.report.per_label_path
+        assert metric_module._compat_vertices(g, g2) <= metric_module._CLOSURE_CLIQUE_GATE
+        assert choose_solver(g, g2) is Solver.CLIQUE
+
+    def test_dense_closures_above_the_gate_get_the_order_solver(self):
+        g, g2 = closure_pair(12, 1, 0.6, 0)
+        assert not g.report.per_label_path
+        assert metric_module._compat_vertices(g, g2) > metric_module._CLOSURE_CLIQUE_GATE
+        assert choose_solver(g, g2) is Solver.ALG2
+
+    def test_the_gate_admits_exactly_k_vertices(self, monkeypatch):
+        g, g2 = closure_pair(10, 3, 0.3, 0)
+        k = metric_module._compat_vertices(g, g2)
+        monkeypatch.setattr(metric_module, "_CLOSURE_CLIQUE_GATE", k)
+        assert choose_solver(g, g2) is Solver.CLIQUE
+        monkeypatch.setattr(metric_module, "_CLOSURE_CLIQUE_GATE", k - 1)
+        assert choose_solver(g, g2) is Solver.ALG2
+
+    @given(
+        st.sampled_from(("wso", "closure")),
+        st.integers(3, 8),
+        st.integers(1, 4),
+        st.sampled_from((0.3, 0.45, 0.6)),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=40)
+    def test_gate_counts_the_compatibility_vertices(self, kind, nodes, labels, density, seed):
+        g, g2 = (generate_instance(kind, nodes, labels, density, s) for s in (seed, seed + 1))
+        comp = compatibility_graph(extended_line_digraph(g), extended_line_digraph(g2))
+        assert metric_module._compat_vertices(g, g2) == len(comp.pair_index)
 
     def test_small_open_inputs_get_the_clique_route(self):
         g = diamond_graph()  # acyclic but missing the composite edge
@@ -146,6 +187,23 @@ class TestDE:
     def test_distance_is_exact(self):
         r = d_e(*budget_pair())
         assert isinstance(r.distance, Fraction)
+
+    def test_auto_agrees_with_the_order_solver_on_closures(self):
+        # closures with 1-4 labels at the densities of the crossover grid;
+        # the 9-node pairs with one label, or two at density 0.6, land above
+        # the clique gate
+        routes = set()
+        seed = 500000
+        for nodes in (5, 7, 9):
+            for labels in (1, 2, 3, 4):
+                for density in (0.3, 0.45, 0.6):
+                    g, g2 = closure_pair(nodes, labels, density, seed)
+                    seed += 2
+                    r = d_e(g, g2)
+                    assert r.dmces_value == dmces_alg2(g, g2).value
+                    assert score(g, g2, r.witness) == r.dmces_value
+                    routes.add(r.solver)
+        assert {Solver.CLIQUE, Solver.ALG2} <= routes
 
     @given(seeded_graphs("wso", 3, 6), seeded_graphs("wso", 3, 6))
     @settings(max_examples=40)
@@ -253,10 +311,10 @@ class TestPosetDistance:
         p, _ = self.shuffled_chains()
         assert poset_distance(p, p).distance == 0
 
-    def test_branching_label_class_uses_the_order_solver(self):
+    def test_branching_label_class_uses_the_clique_route(self):
         p = build_poset_digraph(
             [("u", "x"), ("v", "x"), ("w", "x")], [("u", "v"), ("u", "w")]
         )
         r = poset_distance(p, p)
-        assert r.solver is Solver.ALG2
+        assert r.solver is Solver.CLIQUE
         assert r.distance == 0
