@@ -1,32 +1,27 @@
-"""Cross-solver benchmark harness.
-
-Generates seeded instance pairs, runs every solver applicable to the
-instance kind, asserts that all values agree, and reports one CSV row per
-(instance, solver) with wall time.  A value disagreement is the most
-important failure this package can produce: the harness dumps both graphs
-as JSON and aborts.
+"""Cross-solver agreement harness: :func:`check_pair` times every solver
+that applies to one instance pair, and :func:`bench_harness` runs it over a
+seeded grid, one CSV row per (instance, solver).  A value disagreement is
+the most important failure this package can produce: the check dumps both
+graphs as JSON and aborts.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .core import LabeledDigraph
 from .errors import SolverDisagreement
 from .fileio import graph_to_json
 from .generate import generate_instance
-from .metric import solve
-from .solvers import Solver
+from .metric import closure_flags, solve
+from .solvers import _BRUTE_NODE_CAP, Solver
 
-_SOLVERS_BY_KIND = {
-    "wso": (Solver.BRUTE, Solver.ALG1, Solver.CLIQUE),
-    "closure": (Solver.BRUTE, Solver.ALG1, Solver.ALG2, Solver.CLIQUE),
-    "path-closure": (Solver.BRUTE, Solver.ALG2, Solver.ALG3),
-}
-_BRUTE_LIMIT = 10  # nodes; beyond this the oracle is skipped
-_CLIQUE_LIMIT = 1000  # |D| * |D'|; beyond this the clique route is skipped
+_BRUTE_MATCHINGS = 150_000  # matchings; beyond this the oracle is skipped
+_CLIQUE_LIMIT = 1000  # |E| * |E'|; beyond this the clique route is skipped
 
 CSV_FIELDS = ("solver", "n_nodes", "n_edges", "value", "elapsed_ms", "agree")
 
@@ -39,65 +34,80 @@ class BenchConfig:
     labels: int = 3
     density: float = 0.4
     seed: int = 0
-    solvers: tuple[Solver, ...] = field(default=())
 
-    def solver_set(self) -> tuple[Solver, ...]:
-        return self.solvers or _SOLVERS_BY_KIND[self.kind]
+
+def matching_count(g: LabeledDigraph, g2: LabeledDigraph) -> int:
+    """The number of label-respecting injective partial maps from the nodes
+    of ``g`` to those of ``g2``, exactly the leaves :func:`dmces_bruteforce`
+    scores: per shared label with class sizes n1, n2, sum_k C(n1, k) P(n2, k)."""
+    count = 1
+    for lab in g.label_classes.keys() & g2.label_classes.keys():
+        n1, n2 = len(g.label_classes[lab]), len(g2.label_classes[lab])
+        count *= sum(math.comb(n1, k) * math.perm(n2, k) for k in range(min(n1, n2) + 1))
+    return count
+
+
+def seeded_pair(
+    kind: str, nodes: int, labels: int, density: float, seed: int
+) -> tuple[LabeledDigraph, LabeledDigraph]:
+    """The instance pair drawn with generator seeds ``seed`` and ``seed + 1``."""
+    g = generate_instance(kind, nodes, labels, density, seed)
+    return g, generate_instance(kind, nodes, labels, density, seed + 1)
+
+
+def check_pair(g: LabeledDigraph, g2: LabeledDigraph) -> list[dict]:
+    """Run every solver that audits the pair; returns one CSV-ready row each.
+
+    alg1 runs on every pair, alg2 when both graphs are transitive closures
+    and alg3 when every label class is also a chain in both.  brute runs
+    when the pair has at most ``_BRUTE_MATCHINGS`` matchings (and fits the
+    oracle's node cap), clique when |E| * |E'| is at most ``_CLIQUE_LIMIT``.
+    Raises :class:`SolverDisagreement`, with both graphs as JSON, if any
+    two values differ.
+    """
+    closures, chains = closure_flags(g, g2)
+    n_nodes = max(len(g.nodes), len(g2.nodes))
+    runs = {
+        Solver.BRUTE: n_nodes <= _BRUTE_NODE_CAP and matching_count(g, g2) <= _BRUTE_MATCHINGS,
+        Solver.ALG1: True,
+        Solver.ALG2: closures,
+        Solver.ALG3: chains,
+        Solver.CLIQUE: len(g.edges) * len(g2.edges) <= _CLIQUE_LIMIT,
+    }
+    rows: list[dict] = []
+    for solver in [s for s in Solver if runs[s]]:
+        start = time.perf_counter()
+        value = solve(g, g2, solver).value
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        rows.append(
+            {
+                "solver": solver.value,
+                "n_nodes": n_nodes,
+                "n_edges": max(len(g.edges), len(g2.edges)),
+                "value": value,
+                "elapsed_ms": round(elapsed_ms, 3),
+                "agree": True,
+            }
+        )
+    if len({row["value"] for row in rows}) > 1:
+        values = ", ".join(f"{row['solver']}={row['value']}" for row in rows)
+        raise SolverDisagreement(
+            f"solvers disagree: {values}\nfirst graph:\n{graph_to_json(g)}"
+            f"second graph:\n{graph_to_json(g2)}"
+        )
+    return rows
 
 
 def bench_harness(config: BenchConfig) -> list[dict]:
-    """Run the grid described by ``config``; returns CSV-ready row dicts.
-
-    Raises :class:`SolverDisagreement` (after dumping the instance pair)
-    if any two solvers return different values for the same pair.
-    """
+    """Run :func:`check_pair` on each seeded pair of the grid described by
+    ``config``, in order; returns all their rows."""
     rows: list[dict] = []
     seed = config.seed
     for size in config.sizes:
         for _ in range(config.trials):
-            g = generate_instance(config.kind, size, config.labels, config.density, seed)
-            g2 = generate_instance(
-                config.kind, size, config.labels, config.density, seed + 1
-            )
+            pair = seeded_pair(config.kind, size, config.labels, config.density, seed)
             seed += 2
-            values: dict[Solver, int] = {}
-            trial_rows: list[dict] = []
-            for solver in config.solver_set():
-                if solver is Solver.BRUTE and size > _BRUTE_LIMIT:
-                    continue
-                if (
-                    solver is Solver.CLIQUE
-                    and len(g.edges) * len(g2.edges) > _CLIQUE_LIMIT
-                ):
-                    continue
-                start = time.perf_counter()
-                outcome = solve(g, g2, solver)
-                elapsed_ms = (time.perf_counter() - start) * 1000.0
-                values[solver] = outcome.value
-                trial_rows.append(
-                    {
-                        "solver": solver.value,
-                        "n_nodes": size,
-                        "n_edges": max(len(g.edges), len(g2.edges)),
-                        "value": outcome.value,
-                        "elapsed_ms": round(elapsed_ms, 3),
-                        "agree": True,
-                    }
-                )
-            agree = len(set(values.values())) <= 1
-            if not agree:
-                for row in trial_rows:
-                    row["agree"] = False
-                rows.extend(trial_rows)
-                raise SolverDisagreement(
-                    "solvers disagree: "
-                    + ", ".join(f"{s.value}={v}" for s, v in values.items())
-                    + "\nfirst graph:\n"
-                    + graph_to_json(g)
-                    + "second graph:\n"
-                    + graph_to_json(g2)
-                )
-            rows.extend(trial_rows)
+            rows.extend(check_pair(*pair))
     return rows
 
 

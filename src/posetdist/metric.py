@@ -94,20 +94,22 @@ def _compat_vertices(g: LabeledDigraph, g2: LabeledDigraph) -> int:
     return sum(n * other.get(key, 0) for key, n in g.edge_label_pairs.items())
 
 
+def closure_flags(g: LabeledDigraph, g2: LabeledDigraph) -> tuple[bool, bool]:
+    """Whether both graphs are transitive closures (alg2 applies), and
+    whether every label class is also a chain in both (alg3 applies)."""
+    reports = (g.report, g2.report)
+    closures = all(r.is_acyclic and r.is_transitively_closed for r in reports)
+    return closures, closures and all(r.per_label_path for r in reports)
+
+
 def choose_solver(g: LabeledDigraph, g2: LabeledDigraph) -> Solver:
     """The `auto` policy.  Two transitive closures go to alg3 when every
     label class is a chain in both, else to the clique route when their
     compatibility graph has at most ``_CLOSURE_CLIQUE_GATE`` vertices, else
     to alg2.  Any other pair goes to the clique route when its edge product
     is at most ``_CLIQUE_AUTO_LIMIT``, else to alg1."""
-    ra, rb = g.report, g2.report
-    closures = (
-        ra.is_acyclic
-        and rb.is_acyclic
-        and ra.is_transitively_closed
-        and rb.is_transitively_closed
-    )
-    if closures and ra.per_label_path and rb.per_label_path:
+    closures, chains = closure_flags(g, g2)
+    if chains:
         return Solver.ALG3
     if closures:
         if _compat_vertices(g, g2) <= _CLOSURE_CLIQUE_GATE:

@@ -43,6 +43,8 @@ from .errors import (
     SizeCapExceeded,
 )
 
+_BRUTE_NODE_CAP = 12  # dmces_bruteforce's default guard against large inputs
+
 
 class Solver(str, Enum):
     BRUTE = "brute"
@@ -195,7 +197,7 @@ def _outcome(
 
 
 def dmces_bruteforce(
-    g: LabeledDigraph, g2: LabeledDigraph, *, node_cap: int = 12
+    g: LabeledDigraph, g2: LabeledDigraph, *, node_cap: int = _BRUTE_NODE_CAP
 ) -> DmcesOutcome:
     """Exhaustive search over every feasible solution, no pruning.
 

@@ -1,64 +1,78 @@
 """The cross-solver agreement harness."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from posetdist import BenchConfig, Solver, SolverDisagreement, bench_harness, rows_to_csv
+from posetdist import BenchConfig, SolverDisagreement, bench_harness, rows_to_csv
+from posetdist.bench import check_pair, matching_count, seeded_pair
+from posetdist.generate import KINDS
+from posetdist.metric import closure_flags
 import posetdist.metric as metric_module
+from conftest import seeded_graphs
+from oracles import iter_matchings
 
 
-class TestConfig:
-    def test_default_solver_sets(self):
-        assert BenchConfig(kind="wso").solver_set() == (
-            Solver.BRUTE,
-            Solver.ALG1,
-            Solver.CLIQUE,
-        )
-        assert BenchConfig(kind="closure").solver_set() == (
-            Solver.BRUTE,
-            Solver.ALG1,
-            Solver.ALG2,
-            Solver.CLIQUE,
-        )
-        assert BenchConfig(kind="path-closure").solver_set() == (
-            Solver.BRUTE,
-            Solver.ALG2,
-            Solver.ALG3,
-        )
+def solvers_of(rows) -> list[str]:
+    return [r["solver"] for r in rows]
 
-    def test_explicit_solvers_override_the_kind(self):
-        config = BenchConfig(kind="closure", solvers=(Solver.ALG2,))
-        assert config.solver_set() == (Solver.ALG2,)
+
+class TestCheckPair:
+    @pytest.mark.parametrize(
+        ("kind", "seed", "flags", "solvers"),
+        [
+            ("wso", 0, (False, False), ["brute", "alg1", "clique"]),
+            ("closure", 2, (True, False), ["brute", "alg1", "alg2", "clique"]),
+            ("path-closure", 0, (True, True), ["brute", "alg1", "alg2", "alg3", "clique"]),
+        ],
+    )
+    def test_solvers_follow_the_pair_shape(self, kind, seed, flags, solvers):
+        # open pair: brute, alg1, clique; branching closures add alg2;
+        # chain closures add alg3 as well (all small enough for both gates)
+        g, g2 = seeded_pair(kind, 5, 2, 0.5, seed)
+        assert closure_flags(g, g2) == flags
+        assert solvers_of(check_pair(g, g2)) == solvers
+
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_matching_count_is_the_oracles_leaf_count(self, data):
+        kind = data.draw(st.sampled_from(KINDS))
+        g, g2 = data.draw(seeded_graphs(kind, 2, 6)), data.draw(seeded_graphs(kind, 2, 6))
+        assert matching_count(g, g2) == sum(1 for _ in iter_matchings(g, g2))
 
 
 class TestHarness:
     def test_rows_cover_the_grid(self):
         config = BenchConfig(kind="closure", sizes=(4, 5), trials=2, seed=11)
         rows = bench_harness(config)
-        # 2 sizes x 2 trials x 4 solvers, none skipped at these sizes
-        assert len(rows) == 16
-        assert {r["solver"] for r in rows} == {"brute", "alg1", "alg2", "clique"}
+        # 4 pairs x {brute, alg1, alg2, clique}, plus alg3 on the second
+        # pair, whose label classes are chains in both graphs
+        assert len(rows) == 17
+        assert solvers_of(rows).count("alg3") == 1
+        assert {r["solver"] for r in rows} == {"brute", "alg1", "alg2", "alg3", "clique"}
         assert all(r["agree"] for r in rows)
         assert all(r["elapsed_ms"] >= 0 for r in rows)
 
     def test_values_agree_within_each_trial(self):
-        rows = bench_harness(BenchConfig(kind="wso", sizes=(5,), trials=3, seed=2))
-        by_trial: dict[tuple, set] = {}
-        for i, row in enumerate(rows):
-            by_trial.setdefault(i // 3, set()).add(row["value"])
-        for values in by_trial.values():
-            assert len(values) == 1
+        for seed in (2, 4, 6):
+            rows = check_pair(*seeded_pair("wso", 5, 3, 0.4, seed))
+            assert len({r["value"] for r in rows}) == 1
 
     def test_brute_skipped_beyond_its_cap(self):
-        rows = bench_harness(
-            BenchConfig(kind="path-closure", sizes=(12,), trials=1, seed=0)
-        )
-        assert {r["solver"] for r in rows} == {"alg2", "alg3"}
+        # 9 129 329 matchings: brute is out; 47 x 52 edges: clique is out
+        config = BenchConfig(kind="path-closure", sizes=(12,), trials=1, seed=0)
+        rows = bench_harness(config)
+        assert solvers_of(rows) == ["alg1", "alg2", "alg3"]
 
-    def test_explicit_solver_subset(self):
-        rows = bench_harness(
-            BenchConfig(kind="closure", sizes=(4,), trials=1, solvers=(Solver.ALG2,))
-        )
-        assert [r["solver"] for r in rows] == ["alg2"]
+    def test_brute_gated_by_matching_count_and_node_cap(self):
+        # 10 nodes fit the oracle's node cap, but 241 604 matchings are over
+        # the gate
+        assert matching_count(*seeded_pair("path-closure", 10, 3, 0.3, 0)) == 241_604
+        config = BenchConfig(kind="path-closure", sizes=(10,), trials=1, density=0.3)
+        assert solvers_of(bench_harness(config)) == ["alg1", "alg2", "alg3", "clique"]
+        # one node per label: 2 ** 14 matchings pass the gate, 14 nodes break the cap
+        config = BenchConfig(kind="path-closure", sizes=(14,), trials=1, labels=14, density=0.3)
+        assert solvers_of(bench_harness(config)) == ["alg1", "alg2", "alg3"]
 
     def test_disagreement_aborts_and_names_both_values(self, monkeypatch):
         # force one solver to lie; the harness must dump the pair and raise

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -489,6 +490,14 @@ class TestCliOtherCommands:
         assert header == "solver,n_nodes,n_edges,value,elapsed_ms,agree"
         assert rows
         assert all(r.endswith("True") for r in rows)
+
+    def test_readme_bench_grids_run(self, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        commands = re.findall(r"^posetdist (bench --kind .*)$", readme.read_text(), re.M)
+        assert len(commands) == 3
+        for command in commands:
+            assert cli_main(command.split()) == 0
+            assert capsys.readouterr().out.startswith("solver,")
 
 
 class TestCliExitCodes:

@@ -22,10 +22,10 @@ from posetdist import (
     d_n,
     dmces_alg2,
     extended_line_digraph,
-    generate_instance,
     poset_distance,
     score,
 )
+from posetdist.bench import seeded_pair
 from conftest import budget_pair, chain_pair, diamond_graph, seeded_graphs
 
 
@@ -36,12 +36,6 @@ def long_open_path(n: int) -> LabeledDigraph:
         ids,
         dict.fromkeys(ids, "a"),
         [(ids[i], ids[i + 1]) for i in range(n - 1)],
-    )
-
-
-def closure_pair(nodes: int, labels: int, density: float, seed: int):
-    return tuple(
-        generate_instance("closure", nodes, labels, density, s) for s in (seed, seed + 1)
     )
 
 
@@ -78,19 +72,19 @@ class TestChooseSolver:
             ("a", "b", "c"), dict.fromkeys("abc", "x"), (("a", "b"), ("a", "c"))
         )
         assert choose_solver(fork, fork) is Solver.CLIQUE
-        g, g2 = closure_pair(10, 3, 0.3, 0)
+        g, g2 = seeded_pair("closure", 10, 3, 0.3, 0)
         assert not g.report.per_label_path
         assert metric_module._compat_vertices(g, g2) <= metric_module._CLOSURE_CLIQUE_GATE
         assert choose_solver(g, g2) is Solver.CLIQUE
 
     def test_dense_closures_above_the_gate_get_the_order_solver(self):
-        g, g2 = closure_pair(12, 1, 0.6, 0)
+        g, g2 = seeded_pair("closure", 12, 1, 0.6, 0)
         assert not g.report.per_label_path
         assert metric_module._compat_vertices(g, g2) > metric_module._CLOSURE_CLIQUE_GATE
         assert choose_solver(g, g2) is Solver.ALG2
 
     def test_the_gate_admits_exactly_k_vertices(self, monkeypatch):
-        g, g2 = closure_pair(10, 3, 0.3, 0)
+        g, g2 = seeded_pair("closure", 10, 3, 0.3, 0)
         k = metric_module._compat_vertices(g, g2)
         monkeypatch.setattr(metric_module, "_CLOSURE_CLIQUE_GATE", k)
         assert choose_solver(g, g2) is Solver.CLIQUE
@@ -106,7 +100,7 @@ class TestChooseSolver:
     )
     @settings(max_examples=40)
     def test_gate_counts_the_compatibility_vertices(self, kind, nodes, labels, density, seed):
-        g, g2 = (generate_instance(kind, nodes, labels, density, s) for s in (seed, seed + 1))
+        g, g2 = seeded_pair(kind, nodes, labels, density, seed)
         comp = compatibility_graph(extended_line_digraph(g), extended_line_digraph(g2))
         assert metric_module._compat_vertices(g, g2) == len(comp.pair_index)
 
@@ -197,7 +191,7 @@ class TestDE:
         for nodes in (5, 7, 9):
             for labels in (1, 2, 3, 4):
                 for density in (0.3, 0.45, 0.6):
-                    g, g2 = closure_pair(nodes, labels, density, seed)
+                    g, g2 = seeded_pair("closure", nodes, labels, density, seed)
                     seed += 2
                     r = d_e(g, g2)
                     assert r.dmces_value == dmces_alg2(g, g2).value
@@ -242,7 +236,7 @@ class TestValidationPasses:
         graphs' reports), then a counter on every validation pass."""
         g, g2 = (
             LabeledDigraph(h.nodes, h.node_labels, h.edges)
-            for h in (generate_instance("path-closure", 7, 2, 0.3, s) for s in (5, 6))
+            for h in seeded_pair("path-closure", 7, 2, 0.3, 5)
         )
         seen = []
         real = core_module.validate_properties
