@@ -77,11 +77,14 @@ def compatibility_graph(g, g2) -> CompatibilityGraph:
     require_same_kind(g, g2)
     labels, labels2 = g.node_labels, g2.node_labels
     ea, eb = g.edge_label_map, g2.edge_label_map
+    # the nodes of g2 by (label, self-loop label), each bucket in node order
+    buckets: dict = {}
+    for n2 in g2.nodes:
+        buckets.setdefault((labels2[n2], eb.get((n2, n2), MISSING)), []).append(n2)
     pairs = [
         (n, n2)
         for n in g.nodes
-        for n2 in g2.nodes
-        if labels[n] == labels2[n2] and ea.get((n, n), MISSING) == eb.get((n2, n2), MISSING)
+        for n2 in buckets.get((labels[n], ea.get((n, n), MISSING)), ())
     ]
     rows = dict.fromkeys(g.nodes, 0)
     cols = dict.fromkeys(g2.nodes, 0)
@@ -133,16 +136,63 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
     """Exact maximum clique by branch and bound over the neighbour masks
     of ``g`` (an :class:`UndirectedGraph` or a :class:`CompatibilityGraph`).
 
-    Candidates are greedily colored at every branch point; a partial clique
-    extends only through vertices whose color class count can still beat
-    the incumbent, and branching works down from the highest color.  The
-    witness is canonical: the lexicographically smallest maximum clique in
-    the node order of ``g``.
+    The search runs on the vertices relabelled by non-increasing degree
+    (ties by index), the initial order of Tomita-style coloring branch and
+    bound.  Candidates are greedily colored at every branch point; a partial
+    clique extends only through vertices whose color class count can still
+    beat the incumbent, and branching works down from the highest color.
+
+    The witness is canonical: the lexicographically smallest maximum clique
+    in the node order of ``g``, whatever the relabel.  It walks the vertices
+    in that order, holding the rest of a maximum clique that extends the
+    vertices chosen so far (first the size phase's whole clique); a vertex
+    in that rest is taken at once, any other only when a yes/no search
+    finds a clique that completes the choice, which then becomes the rest
+    held.
     """
     nodes, adj = g.nodes, g.adjacency
     n = len(nodes)
-    size = _search(adj, (1 << n) - 1, 0, n)
-    return frozenset(nodes[i] for i in _bits(_lex_smallest_clique(adj, n, size)))
+    degrees = [mask.bit_count() for mask in adj]
+    order = sorted(range(n), key=degrees.__getitem__, reverse=True)
+    radj = _relabel(adj, order)
+    pos = [0] * n
+    for p, v in enumerate(order):
+        pos[v] = p
+
+    need, known = _search(radj, (1 << n) - 1, 0, n)
+    witness = []
+    cand = (1 << n) - 1
+    for v in range(n):
+        if not need:
+            break
+        p = pos[v]
+        bit = 1 << p
+        if not cand & bit:
+            continue
+        if not known & bit:
+            found, rest = _search(radj, cand & radj[p], need - 2, need - 1)
+            if found < need - 1:
+                cand &= ~bit
+                continue
+            known = rest
+        witness.append(nodes[v])
+        cand &= radj[p]
+        need -= 1
+    return frozenset(witness)
+
+
+def _relabel(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
+    """The neighbour masks with vertex ``order[p]`` renamed ``p``: bit ``q``
+    of mask ``p`` is bit ``order[q]`` of mask ``order[p]``.
+
+    The masks are written out as one string of binary rows, last position
+    first, and read back by column: by symmetry, column ``order[q]`` read
+    over the rows is mask ``q``.  Every step is a C-level string or integer
+    operation, one per vertex."""
+    n = len(order)
+    width = f"0{n}b"
+    rows = "".join([format(adj[v], width) for v in reversed(order)])
+    return tuple([int(rows[n - 1 - v :: n], 2) for v in order])
 
 
 def _color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
@@ -163,47 +213,29 @@ def _color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
     return order
 
 
-def _search(adj: tuple[int, ...], cand: int, floor: int, stop: int) -> int:
-    """Size of the largest clique inside ``cand`` when it has more than
-    ``floor`` vertices, else ``floor``.  Returns as soon as it holds a
-    clique of ``stop`` vertices."""
+def _search(adj: tuple[int, ...], cand: int, floor: int, stop: int) -> tuple[int, int]:
+    """The largest clique inside ``cand`` when it has more than ``floor``
+    vertices, as (size, mask); else ``(floor, 0)``.  Returns as soon as it
+    holds a clique of ``stop`` vertices."""
     best = floor
+    best_clique = 0
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
+    def expand(clique: int, size: int, cand: int) -> None:
+        nonlocal best, best_clique
         if not cand:
             if size > best:
-                best = size
+                best, best_clique = size, clique
             return
         for v, color in reversed(_color_order(adj, cand)):
             if size + color <= best:
                 return
-            expand(size + 1, cand & adj[v])
+            expand(clique | 1 << v, size + 1, cand & adj[v])
             if best >= stop:
                 return
             cand &= ~(1 << v)
 
-    expand(0, cand)
-    return best
-
-
-def _lex_smallest_clique(adj: tuple[int, ...], n: int, size: int) -> int:
-    """Greedily pick the smallest-index vertices that still allow a clique
-    of the target size; yields the canonical witness."""
-    chosen = 0
-    cand = (1 << n) - 1
-    need = size
-    v = 0
-    while need:
-        bit = 1 << v
-        if cand & bit and _search(adj, cand & adj[v], need - 2, need - 1) >= need - 1:
-            chosen |= bit
-            cand &= adj[v]
-            need -= 1
-        else:
-            cand &= ~bit
-        v += 1
-    return chosen
+    expand(0, 0, cand)
+    return best, best_clique
 
 
 def mcis(g, g2) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:

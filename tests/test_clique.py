@@ -23,6 +23,7 @@ from posetdist import (
     max_clique,
     mcis,
 )
+from posetdist.bench import seeded_pair
 from conftest import (
     chain_pair,
     diamond_graph,
@@ -170,6 +171,14 @@ class TestMaxClique:
             ),
         )
     )
+    # the size phase finds {1, 3, 5}, but the witness starts at 0, so the
+    # clique it holds must switch to {0, 2, 4}: keeping {1, 3, 5} would
+    # take 1 next and return {0, 1}
+    @example(
+        UndirectedGraph(
+            range(6), ((0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 4), (3, 5))
+        )
+    )
     @given(undirected_graphs())
     def test_matches_subset_enumeration_oracle(self, g):
         # the witness too: the lexicographically smallest maximum clique
@@ -178,6 +187,34 @@ class TestMaxClique:
     @given(undirected_graphs(max_nodes=7))
     def test_deterministic_witness_stable(self, g):
         assert max_clique(g) == max_clique(g)
+
+    @given(undirected_graphs(), st.data())
+    def test_relabel_is_an_isomorphism(self, g, data):
+        adj, n = g.adjacency, len(g.nodes)
+        degrees = [mask.bit_count() for mask in adj]
+        by_degree = sorted(range(n), key=degrees.__getitem__, reverse=True)
+        shuffled = data.draw(st.permutations(range(n)))
+        for order in (by_degree, shuffled):
+            new = clique_module._relabel(adj, order)
+            assert len(new) == n
+            assert all(
+                (new[p] >> q & 1) == (adj[order[p]] >> order[q] & 1)
+                for p in range(n)
+                for q in range(n)
+            )
+            assert all(mask >> n == 0 for mask in new)
+
+    @pytest.mark.parametrize("adj", [(), (0,)], ids=["empty", "one-vertex"])
+    def test_relabel_of_tiny_graphs(self, adj):
+        assert clique_module._relabel(adj, list(range(len(adj)))) == adj
+
+    @given(undirected_graphs())
+    def test_ids_in_reverse_degree_order(self, g):
+        # node order by increasing degree, so the relabel reverses it and
+        # the witness must be read back through every position
+        degree = dict(zip(g.nodes, (mask.bit_count() for mask in g.adjacency)))
+        reordered = UndirectedGraph(sorted(g.nodes, key=degree.__getitem__), g.edges)
+        assert max_clique(reordered) == subset_max_clique(reordered)
 
     @given(undirected_graphs())
     def test_adjacency_is_symmetric_and_matches_edges(self, g):
@@ -268,6 +305,61 @@ class TestMcis:
         monkeypatch.setattr(clique_module, "max_clique", lambda graph: chosen)
         with pytest.raises(RuntimeError, match="internal error"):
             route(g)
+
+
+# mcis of the extended line digraphs of seeded 20-node wso pairs (4 labels,
+# density 0.3, generator seeds s and s + 1): k, size and every edge pair,
+# written "u>v=u2>v2".  The witness is the lexicographically smallest
+# maximum clique, so no change to the order the search visits vertices in
+# may move them.
+GOLDEN_MCIS = {
+    2000: (
+        198,
+        18,
+        """
+        n01>n12=n12>n02 n01>n15=n12>n06 n02>n04=n04>n14 n02>n08=n04>n07
+        n02>n16=n04>n09 n03>n04=n15>n14 n03>n10=n15>n03 n04>n19=n14>n17
+        n07>n02=n10>n04 n08>n18=n07>n19 n10>n00=n03>n11 n10>n02=n03>n04
+        n11>n00=n18>n11 n11>n16=n18>n09 n11>n17=n18>n08 n12>n18=n02>n19
+        n18>n01=n19>n12 n19>n17=n17>n08
+        """,
+    ),
+    2002: (
+        181,
+        20,
+        """
+        n00>n13=n18>n12 n00>n14=n18>n17 n01>n02=n08>n02 n01>n17=n08>n07
+        n04>n07=n03>n11 n05>n19=n01>n06 n07>n02=n11>n02 n08>n04=n04>n03
+        n10>n05=n13>n01 n10>n07=n13>n11 n11>n08=n10>n04 n11>n14=n10>n17
+        n12>n02=n19>n02 n12>n17=n19>n07 n12>n19=n19>n06 n15>n07=n00>n11
+        n15>n18=n00>n16 n16>n02=n09>n02 n17>n19=n07>n06 n19>n00=n06>n18
+        """,
+    ),
+    2004: (
+        184,
+        17,
+        """
+        n00>n03=n14>n02 n00>n19=n14>n13 n04>n03=n11>n02 n05>n13=n00>n10
+        n05>n14=n00>n04 n06>n11=n01>n03 n07>n08=n17>n15 n08>n00=n15>n14
+        n08>n03=n15>n02 n08>n19=n15>n13 n09>n05=n18>n00 n09>n14=n18>n04
+        n11>n10=n03>n07 n13>n10=n10>n07 n14>n17=n04>n08 n15>n09=n16>n18
+        n19>n09=n13>n18
+        """,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_MCIS))
+def test_golden_mcis_on_seeded_line_digraphs(seed):
+    k, size, written = GOLDEN_MCIS[seed]
+    g, g2 = seeded_pair("wso", 20, 4, 0.3, seed)
+    eld, eld2 = extended_line_digraph(g), extended_line_digraph(g2)
+    expected = frozenset(
+        tuple(tuple(edge.split(">")) for edge in item.split("="))
+        for item in written.split()
+    )
+    assert len(compatibility_graph(eld, eld2).pair_index) == k
+    assert mcis(eld, eld2) == (size, expected)
 
 
 class TestCliqueRoute:
