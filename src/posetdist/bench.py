@@ -17,11 +17,11 @@ from .core import LabeledDigraph
 from .errors import SolverDisagreement
 from .fileio import graph_to_json
 from .generate import generate_instance
-from .metric import closure_flags, solve
+from .metric import _compat_vertices, closure_flags, solve
 from .solvers import _BRUTE_NODE_CAP, Solver
 
 _BRUTE_MATCHINGS = 150_000  # matchings; beyond this the oracle is skipped
-_CLIQUE_LIMIT = 1000  # |E| * |E'|; beyond this the clique route is skipped
+_CLIQUE_LIMIT = 1000  # compatibility-graph vertices; beyond this clique is skipped
 
 CSV_FIELDS = ("solver", "n_nodes", "n_edges", "value", "elapsed_ms", "agree")
 
@@ -61,7 +61,8 @@ def check_pair(g: LabeledDigraph, g2: LabeledDigraph) -> list[dict]:
     alg1 runs on every pair, alg2 when both graphs are transitive closures
     and alg3 when every label class is also a chain in both.  brute runs
     when the pair has at most ``_BRUTE_MATCHINGS`` matchings (and fits the
-    oracle's node cap), clique when |E| * |E'| is at most ``_CLIQUE_LIMIT``.
+    oracle's node cap), clique when the compatibility graph has at most
+    ``_CLIQUE_LIMIT`` vertices (see :func:`metric._compat_vertices`).
     Raises :class:`SolverDisagreement`, with both graphs as JSON, if any
     two values differ.
     """
@@ -72,7 +73,7 @@ def check_pair(g: LabeledDigraph, g2: LabeledDigraph) -> list[dict]:
         Solver.ALG1: True,
         Solver.ALG2: closures,
         Solver.ALG3: chains,
-        Solver.CLIQUE: len(g.edges) * len(g2.edges) <= _CLIQUE_LIMIT,
+        Solver.CLIQUE: _compat_vertices(g, g2) <= _CLIQUE_LIMIT,
     }
     rows: list[dict] = []
     for solver in [s for s in Solver if runs[s]]:

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 from . import fileio
 from .bench import BenchConfig, bench_harness, rows_to_csv
@@ -34,11 +35,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _witness_pairs(result: DistanceResult) -> list[list[str]]:
-    return [[a, b] for a, b in result.witness.pairs]
+def _timed(args, load, measure) -> tuple[DistanceResult, float]:
+    """``measure`` on the two loaded input files, and its own time in ms."""
+    first, second = load(args.first), load(args.second)
+    start = time.perf_counter()
+    result = measure(first, second)
+    return result, (time.perf_counter() - start) * 1000.0
 
 
 def _print_result(result: DistanceResult, elapsed_ms: float, args) -> None:
+    pairs = [[a, b] for a, b in result.witness.pairs]
     if args.json:
         payload = {
             "distance": float(result.distance),
@@ -48,47 +54,32 @@ def _print_result(result: DistanceResult, elapsed_ms: float, args) -> None:
             "solver": result.solver.value,
             "elapsed_ms": round(elapsed_ms, 3),
         }
-        if getattr(args, "witness", False):
-            payload["witness"] = _witness_pairs(result)
+        if args.witness:
+            payload["witness"] = pairs
         print(json.dumps(payload))
+        return
+    if args.command == "dmces":
+        print(result.dmces_value)
     else:
         print(f"distance {result.distance}")
         print(f"dmces {result.dmces_value} / {result.normalizer}")
         print(f"solver {result.solver.value}")
-        if getattr(args, "witness", False):
-            for a, b in _witness_pairs(result):
-                print(f"  {a} -> {b}")
+    if args.witness:
+        for a, b in pairs:
+            print(f"  {a} -> {b}")
 
 
 def _cmd_distance(args) -> int:
     if args.poset:
-        p = fileio.load_poset(args.first)
-        p2 = fileio.load_poset(args.second)
-        start = time.perf_counter()
-        result = poset_distance(p, p2)
+        timed = _timed(args, fileio.load_poset, poset_distance)
     else:
-        g = fileio.load_graph(args.first)
-        g2 = fileio.load_graph(args.second)
-        start = time.perf_counter()
-        result = d_e(g, g2, solver=args.solver)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    _print_result(result, elapsed_ms, args)
+        timed = _timed(args, fileio.load_graph, partial(d_e, solver=args.solver))
+    _print_result(*timed, args)
     return 0
 
 
 def _cmd_dmces(args) -> int:
-    g = fileio.load_graph(args.first)
-    g2 = fileio.load_graph(args.second)
-    start = time.perf_counter()
-    result = d_e(g, g2, solver=args.solver)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if args.json:
-        _print_result(result, elapsed_ms, args)
-    else:
-        print(result.dmces_value)
-        if args.witness:
-            for a, b in _witness_pairs(result):
-                print(f"  {a} -> {b}")
+    _print_result(*_timed(args, fileio.load_graph, partial(d_e, solver=args.solver)), args)
     return 0
 
 

@@ -216,25 +216,31 @@ def _color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
 def _search(adj: tuple[int, ...], cand: int, floor: int, stop: int) -> tuple[int, int]:
     """The largest clique inside ``cand`` when it has more than ``floor``
     vertices, as (size, mask); else ``(floor, 0)``.  Returns as soon as it
-    holds a clique of ``stop`` vertices."""
-    best = floor
-    best_clique = 0
+    holds a clique of ``stop`` vertices.
 
-    def expand(clique: int, size: int, cand: int) -> None:
-        nonlocal best, best_clique
-        if not cand:
-            if size > best:
-                best, best_clique = size, clique
-            return
-        for v, color in reversed(_color_order(adj, cand)):
-            if size + color <= best:
-                return
-            expand(clique | 1 << v, size + 1, cand & adj[v])
+    Branch and bound on an explicit stack, so the clique size is not capped
+    by the interpreter's recursion limit.  Each frame is ``[clique, size,
+    cand, order]``: ``order`` is the greedy coloring of the frame's
+    candidates, branched on from its last entry (the highest color) until
+    ``size + color`` cannot beat the incumbent; ``cand`` drops each vertex
+    once its branch is done."""
+    # an empty ``cand`` makes the root a leaf: the empty clique
+    best, best_clique = (floor if cand else max(floor, 0)), 0
+    stack = [[0, 0, cand, _color_order(adj, cand)]]
+    while stack:
+        clique, size, cand, order = frame = stack[-1]
+        if not order or size + order[-1][1] <= best:
+            stack.pop()
+            continue
+        v = order.pop()[0]
+        frame[2] = cand & ~(1 << v)
+        clique, size, cand = clique | 1 << v, size + 1, cand & adj[v]
+        if cand:
+            stack.append([clique, size, cand, _color_order(adj, cand)])
+        elif size > best:
+            best, best_clique = size, clique
             if best >= stop:
-                return
-            cand &= ~(1 << v)
-
-    expand(0, 0, cand)
+                break
     return best, best_clique
 
 

@@ -32,9 +32,9 @@ from .solvers import (
 )
 
 AUTO = "auto"
-# Open pairs take the clique route up to this edge product |E| * |E'|.  It
-# bounds memory, not time: the compatibility graph has k <= |E| * |E'|
-# vertices, one k-bit neighbour mask each, about 12.5 MB at this limit.
+# Open pairs take the clique route up to this many compatibility-graph
+# vertices k.  It bounds memory, not time: one k-bit neighbour mask per
+# vertex, about 12.5 MB at this limit.
 _CLIQUE_AUTO_LIMIT = 10_000
 # Closure pairs that are not all chains take the clique route up to this
 # many compatibility-graph vertices k, alg2 beyond.  On a seeded grid of
@@ -89,7 +89,9 @@ def _compat_vertices(g: LabeledDigraph, g2: LabeledDigraph) -> int:
     """The vertex count k of the compatibility graph the clique route would
     search: the label-matched pairs of nodes of the two extended line
     digraphs, that is the edge pairs (e, e') with equal endpoint labels,
-    read off the two edge-label-pair histograms."""
+    read off the two edge-label-pair histograms; k <= |E| * |E'|.  It is
+    the one cost measure of that route: every clique gate reads it, both
+    here and in the audit (``bench.check_pair``)."""
     other = g2.edge_label_pairs
     return sum(n * other.get(key, 0) for key, n in g.edge_label_pairs.items())
 
@@ -104,20 +106,17 @@ def closure_flags(g: LabeledDigraph, g2: LabeledDigraph) -> tuple[bool, bool]:
 
 def choose_solver(g: LabeledDigraph, g2: LabeledDigraph) -> Solver:
     """The `auto` policy.  Two transitive closures go to alg3 when every
-    label class is a chain in both, else to the clique route when their
-    compatibility graph has at most ``_CLOSURE_CLIQUE_GATE`` vertices, else
-    to alg2.  Any other pair goes to the clique route when its edge product
-    is at most ``_CLIQUE_AUTO_LIMIT``, else to alg1."""
+    label class is a chain in both.  Otherwise the pair goes to the clique
+    route when its compatibility graph has at most ``_CLOSURE_CLIQUE_GATE``
+    vertices (two closures) or ``_CLIQUE_AUTO_LIMIT`` vertices (any other
+    pair), else to alg2 (closures) or alg1."""
     closures, chains = closure_flags(g, g2)
     if chains:
         return Solver.ALG3
+    k = _compat_vertices(g, g2)
     if closures:
-        if _compat_vertices(g, g2) <= _CLOSURE_CLIQUE_GATE:
-            return Solver.CLIQUE
-        return Solver.ALG2
-    if len(g.edges) * len(g2.edges) <= _CLIQUE_AUTO_LIMIT:
-        return Solver.CLIQUE
-    return Solver.ALG1
+        return Solver.CLIQUE if k <= _CLOSURE_CLIQUE_GATE else Solver.ALG2
+    return Solver.CLIQUE if k <= _CLIQUE_AUTO_LIMIT else Solver.ALG1
 
 
 def d_e(
@@ -156,6 +155,6 @@ def poset_distance(p: PosetDigraph, p2: PosetDigraph) -> DistanceResult:
     """Distance between two labeled partial orders: ``d_e`` of their
     digraphs under the ``auto`` policy, which picks the chain-aware solver
     when every label class is a chain in both, the clique route when the
-    compatibility graph is small (see :func:`choose_solver`), and the
-    order-respecting solver otherwise."""
+    compatibility graph has at most ``_CLOSURE_CLIQUE_GATE`` vertices (see
+    :func:`choose_solver`), and the order-respecting solver otherwise."""
     return d_e(p.graph, p2.graph)

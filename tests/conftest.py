@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
+import posetdist
 from posetdist import LabeledDigraph, UndirectedGraph, generate_instance
 
 settings.register_profile(
@@ -13,6 +17,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("suite")
+
+
+def subprocess_env(**extra: str) -> dict[str, str]:
+    """The environment for a ``python`` subprocess that must import the
+    ``posetdist`` under test: its ``src`` directory leads ``PYTHONPATH``."""
+    src = str(Path(posetdist.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, **extra, "PYTHONPATH": path}
 
 
 def seeded_graphs(kind: str, min_nodes: int = 3, max_nodes: int = 8):

@@ -36,7 +36,15 @@ from posetdist import (
     untwist,
 )
 from posetdist.bench import check_pair, seeded_pair
-from conftest import budget_pair, chain_pair, diamond_graph, equal_score_twist, star, triangle
+from conftest import (
+    budget_pair,
+    chain_pair,
+    diamond_graph,
+    equal_score_twist,
+    star,
+    subprocess_env,
+    triangle,
+)
 from oracles import admces, iter_matchings
 
 
@@ -156,11 +164,11 @@ def test_criterion_05_cross_solver_agreement():
             runs[kind].update(row["solver"] for row in rows)
     # alg1 audits every pair; alg2 and alg3 join on pairs that happen to be
     # closures (and chains) in each kind; brute and clique drop out on the
-    # larger path-closures, by matching count and edge product
+    # larger path-closures, by matching count and compatibility-graph size
     assert runs == {
         "wso": {"brute": 500, "alg1": 500, "alg2": 30, "alg3": 5, "clique": 500},
         "closure": {"brute": 500, "alg1": 500, "alg2": 500, "alg3": 50, "clique": 500},
-        "path-closure": {"brute": 377, "alg1": 500, "alg2": 500, "alg3": 500, "clique": 407},
+        "path-closure": {"brute": 377, "alg1": 500, "alg2": 500, "alg3": 500, "clique": 458},
     }
     assert runs["wso"]["brute"] >= 400
     assert runs["closure"]["brute"] >= 400
@@ -357,8 +365,8 @@ def test_criterion_10_scale_target():
         g, g2 = seeded_pair("path-closure", n, 6, 0.15, s)
         assert dmces_alg2(g, g2).value == dmces_alg3(g, g2).value
 
-    # attempt the order-only solver at full scale under a hard timeout;
-    # equality is required only if it completes
+    # attempt the order-only solver at full scale under a hard timeout; a
+    # run that finishes in time must exit cleanly and agree
     code = (
         "from posetdist import generate_instance, dmces_alg2\n"
         "g = generate_instance('path-closure', 40, 6, 0.15, 2024)\n"
@@ -372,10 +380,11 @@ def test_criterion_10_scale_target():
             capture_output=True,
             text=True,
             timeout=60,
+            env=subprocess_env(),
         )
-        if proc.returncode == 0:
-            assert int(proc.stdout.strip()) == first_pair_value
-            alg2_note = "alg2 agreed at full scale"
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.strip()) == first_pair_value
+        alg2_note = "alg2 agreed at full scale"
     except subprocess.TimeoutExpired:
         pass
 

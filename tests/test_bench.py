@@ -59,10 +59,12 @@ class TestHarness:
             assert len({r["value"] for r in rows}) == 1
 
     def test_brute_skipped_beyond_its_cap(self):
-        # 9 129 329 matchings: brute is out; 47 x 52 edges: clique is out
+        # 9 129 329 matchings: brute is out; 47 x 52 = 2444 edge pairs, but
+        # only 291 compatibility vertices: clique stays in
         config = BenchConfig(kind="path-closure", sizes=(12,), trials=1, seed=0)
+        assert metric_module._compat_vertices(*seeded_pair("path-closure", 12, 3, 0.4, 0)) == 291
         rows = bench_harness(config)
-        assert solvers_of(rows) == ["alg1", "alg2", "alg3"]
+        assert solvers_of(rows) == ["alg1", "alg2", "alg3", "clique"]
 
     def test_brute_gated_by_matching_count_and_node_cap(self):
         # 10 nodes fit the oracle's node cap, but 241 604 matchings are over
@@ -70,9 +72,11 @@ class TestHarness:
         assert matching_count(*seeded_pair("path-closure", 10, 3, 0.3, 0)) == 241_604
         config = BenchConfig(kind="path-closure", sizes=(10,), trials=1, density=0.3)
         assert solvers_of(bench_harness(config)) == ["alg1", "alg2", "alg3", "clique"]
-        # one node per label: 2 ** 14 matchings pass the gate, 14 nodes break the cap
+        # one node per label: 2 ** 14 matchings pass the gate, 14 nodes break
+        # the cap; 19 compatibility vertices keep clique in
+        assert metric_module._compat_vertices(*seeded_pair("path-closure", 14, 14, 0.3, 0)) == 19
         config = BenchConfig(kind="path-closure", sizes=(14,), trials=1, labels=14, density=0.3)
-        assert solvers_of(bench_harness(config)) == ["alg1", "alg2", "alg3"]
+        assert solvers_of(bench_harness(config)) == ["alg1", "alg2", "alg3", "clique"]
 
     def test_disagreement_aborts_and_names_both_values(self, monkeypatch):
         # force one solver to lie; the harness must dump the pair and raise

@@ -1,6 +1,7 @@
 """Compatibility graphs, exact maximum clique, and the clique route."""
 
 import itertools
+import sys
 import warnings
 from fractions import Fraction
 
@@ -147,9 +148,11 @@ class TestMaxClique:
         assert max_clique(UndirectedGraph((), ())) == frozenset()
 
     def test_complete_graph(self):
-        nodes = tuple(range(5))
-        g = UndirectedGraph(nodes, tuple(itertools.combinations(nodes, 2)))
-        assert max_clique(g) == frozenset(nodes)
+        # the larger clique is deeper than the interpreter's recursion limit
+        for n in (5, sys.getrecursionlimit() + 100):
+            nodes = tuple(range(n))
+            g = UndirectedGraph(nodes, tuple(itertools.combinations(nodes, 2)))
+            assert max_clique(g) == frozenset(nodes)
 
     def test_lexicographically_smallest_witness(self):
         # two disjoint triangles; the one on smaller ids wins

@@ -1,7 +1,6 @@
 """File formats and the command line front end."""
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -9,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import posetdist
 from posetdist import (
     LabeledDigraph,
     ParseError,
@@ -23,7 +21,7 @@ from posetdist import (
     save_graph,
     eld_to_dot,
 )
-from conftest import budget_pair, chain_pair
+from conftest import budget_pair, chain_pair, subprocess_env
 
 
 def write(path, text: str):
@@ -398,13 +396,11 @@ class TestCliOtherCommands:
     def test_mcis_json_pairs_sorted_under_any_hash_seed(self, tmp_path, hash_seed):
         a = graph_file(tmp_path, generate_instance("wso", 8, 2, 0.4, 1), "a.json")
         b = graph_file(tmp_path, generate_instance("wso", 8, 2, 0.4, 2), "b.json")
-        src = str(Path(posetdist.__file__).parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "posetdist.cli", "mcis", a, b, "--json"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+            env=subprocess_env(PYTHONHASHSEED=hash_seed),
         )
         assert proc.returncode == 0
         pairs = json.loads(proc.stdout)["pairs"]
@@ -562,8 +558,6 @@ gen = ["gen", "--kind", "closure", "--nodes", "6", "--labels", "2",
 assert pd.cli_main(gen) == 0
 assert pd.cli_main(["distance", "--poset", poset, poset]) == 0
 """
-        src = str(Path(posetdist.__file__).parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [
                 sys.executable,
@@ -574,7 +568,7 @@ assert pd.cli_main(["distance", "--poset", poset, poset]) == 0
             ],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
@@ -587,6 +581,7 @@ assert pd.cli_main(["distance", "--poset", poset, poset]) == 0
             [sys.executable, "-m", "posetdist.cli", "dmces", path, path],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "3"

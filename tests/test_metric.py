@@ -1,5 +1,6 @@
 """Edge- and node-overlap distances and the auto solver policy."""
 
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -84,12 +85,17 @@ class TestChooseSolver:
         assert choose_solver(g, g2) is Solver.ALG2
 
     def test_the_gate_admits_exactly_k_vertices(self, monkeypatch):
-        g, g2 = seeded_pair("closure", 10, 3, 0.3, 0)
-        k = metric_module._compat_vertices(g, g2)
-        monkeypatch.setattr(metric_module, "_CLOSURE_CLIQUE_GATE", k)
-        assert choose_solver(g, g2) is Solver.CLIQUE
-        monkeypatch.setattr(metric_module, "_CLOSURE_CLIQUE_GATE", k - 1)
-        assert choose_solver(g, g2) is Solver.ALG2
+        # the closure gate, then the open-pair gate
+        for gate, pair, beyond in (
+            ("_CLOSURE_CLIQUE_GATE", ("closure", 10, 3, 0.3, 0), Solver.ALG2),
+            ("_CLIQUE_AUTO_LIMIT", ("wso", 50, 8, 0.1, 7003), Solver.ALG1),
+        ):
+            g, g2 = seeded_pair(*pair)
+            k = metric_module._compat_vertices(g, g2)
+            monkeypatch.setattr(metric_module, gate, k)
+            assert choose_solver(g, g2) is Solver.CLIQUE
+            monkeypatch.setattr(metric_module, gate, k - 1)
+            assert choose_solver(g, g2) is beyond
 
     @given(
         st.sampled_from(("wso", "closure")),
@@ -110,6 +116,16 @@ class TestChooseSolver:
         cyc, _ = budget_pair()
         assert choose_solver(cyc, cyc) is Solver.CLIQUE
 
+    def test_many_labels_keep_a_large_edge_product_on_the_clique_route(self):
+        # |E| * |E'| = 13 216 edge pairs, but only k = 163 match labels
+        g, g2 = seeded_pair("wso", 50, 8, 0.1, 7003)
+        assert len(g.edges) * len(g2.edges) > metric_module._CLIQUE_AUTO_LIMIT
+        assert metric_module._compat_vertices(g, g2) == 163
+        assert choose_solver(g, g2) is Solver.CLIQUE
+        r = d_e(g, g2)
+        assert r.solver is Solver.CLIQUE
+        assert score(g, g2, r.witness) == r.dmces_value
+
     def test_large_open_inputs_fall_back_to_recursion(self):
         g = long_open_path(102)  # 101 edges on each side
         assert choose_solver(g, g) is Solver.ALG1
@@ -126,13 +142,23 @@ class TestDE:
             assert r.distance == Fraction(0)
             assert r.dmces_value == r.normalizer == len(g.edges)
 
+    def test_path_deeper_than_the_recursion_limit(self):
+        # one clique vertex per edge, so the clique search holds a stack
+        # deeper than the interpreter's recursion limit
+        n = sys.getrecursionlimit() + 100
+        ids = [f"p{i:04d}" for i in range(n)]
+        g = LabeledDigraph(ids, {v: v for v in ids}, [(a, b) for a, b in zip(ids, ids[1:])])
+        r = d_e(g, g)
+        assert r.distance == Fraction(0)
+        assert r.solver is Solver.CLIQUE
+
     def test_budget_figure(self):
         g, g2 = budget_pair()
         r = d_e(g, g2)
         assert r.dmces_value == 2
         assert r.normalizer == 4
         assert r.distance == Fraction(1, 2)
-        assert r.solver is Solver.CLIQUE  # cyclic input, small edge product
+        assert r.solver is Solver.CLIQUE  # cyclic input, small compatibility graph
         assert score(g, g2, r.witness) == 2
 
     def test_normalizer_takes_the_larger_side(self):
