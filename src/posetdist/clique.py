@@ -4,10 +4,11 @@ The pipeline realized here: the edge-overlap value of two node-labeled
 digraphs equals the maximum common node-induced subgraph size of their
 extended line digraphs, which in turn is the maximum clique size of the
 compatibility graph built from those.  :func:`mcis` is the last two steps
-on any two graphs of this package; :func:`dmces_via_clique` is :func:`mcis`
-on the two extended line digraphs, with the winning edge pairs read back
-as a node matching on the original graphs.  So ``d_e(G, G')`` on the
-clique route equals ``d_n(L(G), L(G'))`` by construction.
+on any two graphs of this package.  :func:`dmces_via_clique` searches the
+same compatibility graph as ``mcis(L(G), L(G'))``, vertex for vertex and
+in the same order, but builds it straight from the two source digraphs
+and never builds an extended line digraph; the winning edge pairs are
+read back as a node matching on the original graphs.
 
 The compatibility graph has one vertex per label-matched pair (n, n') whose
 self-loops agree (both absent, or both present with equal labels).  It
@@ -18,16 +19,30 @@ exclusion makes every clique project to an injective map on either side.
 
 :class:`CompatibilityGraph` holds the pairs (``pair_index``) and one
 neighbour bitmask per vertex (``adjacency``), which :func:`max_clique`
-searches directly.  The build never compares two vertices: it groups the
-other nodes ``m`` of each node ``n`` by the signature (label of n -> m,
-label of m -> n), a handful of classes (on an extended line digraph: HT
-out, HT in, TT, HH and not adjacent), and ORs together the masks of their
-vertices.  The neighbours of (n, n') are then the vertices that lie in the
-same signature class on both sides, so the build costs a few big-integer
-operations per vertex.
+searches directly.  Neither build compares two vertices.  Each puts the
+other nodes ``m`` of a node ``n`` into a handful of signature classes and
+ORs together the masks of their vertices; the neighbours of (n, n') are
+then the vertices that lie in the same class on both sides, a few
+big-integer operations per vertex.
 
-Every graph is read directly through its ``nodes``, ``node_labels`` and
-``edge_label_map``.
+- :func:`compatibility_graph` reads any graph through its ``nodes``,
+  ``node_labels`` and ``edge_label_map`` and classes ``m`` by the
+  signature (label of n -> m, label of m -> n).
+- The clique route's own build has one vertex per pair of source edges
+  (e, e') with equal (tail label, head label).  On a simple, oriented
+  graph the other edges f of an edge e = (u, v) fall into five disjoint
+  classes, the ELD relations of the pair (e, f): TT (f leaves u), HT in
+  (f enters u), HT out (f leaves v), HH (f enters v) and none.  So one
+  pass over the edges, which ORs the vertex masks of the edges out of
+  and into every node, gives every class.
+
+The clique route checks its witness in time linear in the clique size:
+the endpoints of the clique's edge pairs must define one injective,
+label-preserving node map, and that map must realize exactly as many
+edges as the clique has vertices.  An injective, label-preserving map
+keeps every endpoint equality, hence every ELD node label and every
+HT/TT/HH relation among the edges it realizes, so this implies the
+isomorphism check that :func:`mcis` runs.
 """
 
 from __future__ import annotations
@@ -38,7 +53,6 @@ from typing import Hashable
 
 from .core import LabeledDigraph, UndirectedGraph, _bits
 from .isomorphism import MISSING, require_same_kind
-from .line_digraph import extended_line_digraph
 from .solvers import DmcesOutcome, NodeMatching, Solver, _outcome, _require
 
 
@@ -128,6 +142,73 @@ def _signature_groups(edge_labels: dict, own: dict, full: int) -> dict:
     return groups
 
 
+def _edge_pair_graph(g: LabeledDigraph, g2: LabeledDigraph) -> CompatibilityGraph:
+    """The compatibility graph of the extended line digraphs of two simple,
+    oriented digraphs, built from the digraphs: equal to
+    ``compatibility_graph(extended_line_digraph(g), extended_line_digraph(g2))``.
+
+    Vertex ``i`` is the edge pair ``pair_index[i]``, in ``g.edges`` order
+    and, within it, in ``g2.edges`` order.  The vertices of one edge of
+    ``g`` are consecutive, and the vertices of the ``j``-th edge in a
+    bucket of ``g2`` sit at offset ``j`` from the start of every edge of
+    ``g`` in that bucket, so every edge's vertex mask is one shift."""
+    labels, labels2 = g.node_labels, g2.node_labels
+    # the edges of g2 by (tail label, head label), each bucket in edge order
+    buckets: dict = {}
+    for e2 in g2.edges:
+        buckets.setdefault((labels2[e2[0]], labels2[e2[1]]), []).append(e2)
+    pairs: list = []
+    row_buckets, rows = [], {}
+    starts: dict = {}  # bucket -> one bit at the first vertex of each edge of g
+    for e in g.edges:
+        key = (labels[e[0]], labels[e[1]])
+        bucket = buckets.get(key, ())
+        row_buckets.append(bucket)
+        rows[e] = ((1 << len(bucket)) - 1) << len(pairs)
+        starts[key] = starts.get(key, 0) | 1 << len(pairs)
+        pairs.extend((e, e2) for e2 in bucket)
+    cols = {
+        e2: starts.get(key, 0) << j
+        for key, bucket in buckets.items()
+        for j, e2 in enumerate(bucket)
+    }
+    full = (1 << len(pairs)) - 1
+    row_classes = _edge_classes(g, rows, full)
+    col_classes = _edge_classes(g2, cols, full)
+    adjacency = []
+    for e, bucket in zip(g.edges, row_buckets):
+        tt, ht_in, ht_out, hh, none = row_classes[e]
+        for e2 in bucket:
+            tt2, ht_in2, ht_out2, hh2, none2 = col_classes[e2]
+            adjacency.append(
+                tt & tt2 | ht_in & ht_in2 | ht_out & ht_out2 | hh & hh2 | none & none2
+            )
+    return CompatibilityGraph(tuple(pairs), tuple(adjacency))
+
+
+def _edge_classes(g: LabeledDigraph, own: dict, full: int) -> dict:
+    """For each edge ``(u, v)`` of ``g``, whose vertices have the mask
+    ``own[(u, v)]``, the masks of the vertices of the other edges in each
+    of its five classes: (TT, HT in, HT out, HH, none).  On a simple,
+    oriented graph the classes are disjoint, and none of them holds the
+    edge's own vertices: HT in and HT out never meet the edge itself."""
+    out = dict.fromkeys(g.nodes, 0)
+    into = dict.fromkeys(g.nodes, 0)
+    for (u, v), mask in own.items():
+        out[u] |= mask
+        into[v] |= mask
+    return {
+        (u, v): (
+            out[u] & ~mask,
+            into[u],
+            out[v],
+            into[v] & ~mask,
+            full & ~(out[u] | into[u] | out[v] | into[v]),
+        )
+        for (u, v), mask in own.items()
+    }
+
+
 def _agrees(ea: dict, eb: dict, n, m, n2, m2) -> bool:
     return ea.get((n, m), MISSING) == eb.get((n2, m2), MISSING)
 
@@ -141,6 +222,8 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
     bound.  Candidates are greedily colored at every branch point; a partial
     clique extends only through vertices whose color class count can still
     beat the incumbent, and branching works down from the highest color.
+    The size phase starts from a greedy clique as its incumbent, so a graph
+    whose greedy clique meets the root color bound needs no branching.
 
     The witness is canonical: the lexicographically smallest maximum clique
     in the node order of ``g``, whatever the relabel.  It walks the vertices
@@ -159,7 +242,7 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
     for p, v in enumerate(order):
         pos[v] = p
 
-    need, known = _search(radj, (1 << n) - 1, 0, n)
+    need, known = _search(radj, (1 << n) - 1, _greedy_clique(radj), n)
     witness = []
     cand = (1 << n) - 1
     for v in range(n):
@@ -170,7 +253,7 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
         if not cand & bit:
             continue
         if not known & bit:
-            found, rest = _search(radj, cand & radj[p], need - 2, need - 1)
+            found, rest = _search(radj, cand & radj[p], (need - 2, 0), need - 1)
             if found < need - 1:
                 cand &= ~bit
                 continue
@@ -195,6 +278,17 @@ def _relabel(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
     return tuple([int(rows[n - 1 - v :: n], 2) for v in order])
 
 
+def _greedy_clique(adj: tuple[int, ...]) -> tuple[int, int]:
+    """A maximal clique, as (size, mask): from all vertices, take the lowest
+    candidate and keep only its neighbours, until none is left.  On
+    degree-relabelled masks that is the highest-degree vertex first."""
+    size, clique, cand = 0, 0, (1 << len(adj)) - 1
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        size, clique, cand = size + 1, clique | 1 << v, cand & adj[v]
+    return size, clique
+
+
 def _color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
     """Greedy coloring of the candidate set; returns (vertex, color) in
     coloring order.  Any clique inside ``cand`` has at most max-color
@@ -213,10 +307,12 @@ def _color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
     return order
 
 
-def _search(adj: tuple[int, ...], cand: int, floor: int, stop: int) -> tuple[int, int]:
-    """The largest clique inside ``cand`` when it has more than ``floor``
-    vertices, as (size, mask); else ``(floor, 0)``.  Returns as soon as it
-    holds a clique of ``stop`` vertices.
+def _search(
+    adj: tuple[int, ...], cand: int, incumbent: tuple[int, int], stop: int
+) -> tuple[int, int]:
+    """The largest clique inside ``cand`` when it has more vertices than
+    the ``incumbent`` (size, mask), as (size, mask); else the incumbent.
+    Returns as soon as it holds a clique of ``stop`` vertices.
 
     Branch and bound on an explicit stack, so the clique size is not capped
     by the interpreter's recursion limit.  Each frame is ``[clique, size,
@@ -224,8 +320,10 @@ def _search(adj: tuple[int, ...], cand: int, floor: int, stop: int) -> tuple[int
     candidates, branched on from its last entry (the highest color) until
     ``size + color`` cannot beat the incumbent; ``cand`` drops each vertex
     once its branch is done."""
-    # an empty ``cand`` makes the root a leaf: the empty clique
-    best, best_clique = (floor if cand else max(floor, 0)), 0
+    best, best_clique = incumbent
+    if not cand and best < 0:
+        # an empty ``cand`` makes the root a leaf: the empty clique
+        best, best_clique = 0, 0
     stack = [[0, 0, cand, _color_order(adj, cand)]]
     while stack:
         clique, size, cand, order = frame = stack[-1]
@@ -274,23 +372,31 @@ def dmces_via_clique(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
     """Edge-overlap optimum through the clique reduction.
 
     Both inputs must be weakly connected, simple, and oriented.  The value
-    is :func:`mcis` of the two extended line digraphs; the matched
-    source-edge pairs determine the node matching by reading off endpoints
-    (consistent and injective for any clique, since shared endpoints on
-    one side force the same sharing on the other)."""
+    is the maximum clique size of the compatibility graph of the two
+    extended line digraphs, built from ``g`` and ``g2`` directly; the
+    matched source-edge pairs determine the node matching by reading off
+    endpoints (consistent and injective for any clique, since shared
+    endpoints on one side force the same sharing on the other).  The
+    witness check is linear in the clique size (see the module
+    docstring)."""
     _require(g, g2)
-    size, pairs = mcis(extended_line_digraph(g), extended_line_digraph(g2))
+    comp = _edge_pair_graph(g, g2)
+    clique = max_clique(comp)
 
+    labels, labels2 = g.node_labels, g2.node_labels
     node_map: dict[str, str] = {}
     reverse: dict[str, str] = {}
-    for (u, v), (u2, v2) in sorted(pairs):
+    for i in clique:
+        (u, v), (u2, v2) = comp.pair(i)
         for s, t in ((u, u2), (v, v2)):
             if node_map.get(s, t) != t or reverse.get(t, s) != s:
                 raise RuntimeError("internal error: clique endpoints disagree")
+            if labels[s] != labels2[t]:
+                raise RuntimeError("internal error: clique endpoints differ in label")
             node_map[s] = t
             reverse[t] = s
 
     outcome = _outcome(g, g2, NodeMatching(node_map.items()), Solver.CLIQUE)
-    if outcome.value != size:
+    if outcome.value != len(clique):
         raise RuntimeError("internal error: clique value does not match witness")
     return outcome

@@ -365,6 +365,43 @@ def test_golden_mcis_on_seeded_line_digraphs(seed):
     assert mcis(eld, eld2) == (size, expected)
 
 
+# Seeded pairs of one instance kind with 1-4 labels.
+source_pairs = st.builds(
+    seeded_pair,
+    st.sampled_from(("wso", "closure", "path-closure")),
+    st.integers(3, 8),
+    st.integers(1, 4),
+    st.sampled_from((0.3, 0.45, 0.6)),
+    st.integers(0, 10**6),
+)
+
+
+class TestEdgePairGraph:
+    """The clique route's own build, straight from the two source digraphs."""
+
+    @given(source_pairs)
+    def test_equals_the_compatibility_graph_of_the_line_digraphs(self, pair):
+        # DMCES(G, G') = MCIS(L(G), L(G')) holds by construction: the route
+        # searches this very graph, vertex for vertex and in the same order
+        g, g2 = pair
+        direct = clique_module._edge_pair_graph(g, g2)
+        via_eld = compatibility_graph(extended_line_digraph(g), extended_line_digraph(g2))
+        assert direct.pair_index == via_eld.pair_index
+        assert direct.adjacency == via_eld.adjacency
+
+    def test_the_route_builds_no_line_digraph(self, monkeypatch):
+        g, g2 = seeded_pair("wso", 8, 2, 0.45, 11)
+        expected = dmces_bruteforce(g, g2).value
+
+        def refuse(graph):
+            raise AssertionError("the clique route built an extended line digraph")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "extended_line_digraph", None) is extended_line_digraph:
+                monkeypatch.setattr(module, "extended_line_digraph", refuse)
+        assert dmces_via_clique(g, g2).value == expected
+
+
 class TestCliqueRoute:
     def test_requires_wso(self):
         disconnected = LabeledDigraph(
@@ -392,3 +429,13 @@ class TestCliqueRoute:
             g.node_labels[v] == g.node_labels[w] for v, w in mapping.items()
         )
         assert out.value == len(out.matched_edges)
+
+    def test_endpoints_of_another_label_are_an_internal_error(self, monkeypatch):
+        # a vertex that pairs edges of different endpoint labels gives an
+        # injective map that realizes the edge, but not a label-preserving one
+        g = LabeledDigraph(("a", "b"), {"a": "x", "b": "y"}, (("a", "b"),))
+        g2 = LabeledDigraph(("c", "d"), {"c": "y", "d": "x"}, (("c", "d"),))
+        comp = clique_module.CompatibilityGraph(((("a", "b"), ("c", "d")),), (0,))
+        monkeypatch.setattr(clique_module, "_edge_pair_graph", lambda g, g2: comp)
+        with pytest.raises(RuntimeError, match="internal error: .* label"):
+            dmces_via_clique(g, g2)

@@ -585,3 +585,18 @@ assert pd.cli_main(["distance", "--poset", poset, poset]) == 0
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "3"
+
+    def test_package_entry_point_is_silent(self, tmp_path):
+        # ``python -m posetdist`` runs ``__main__``, so runpy never meets
+        # the ``posetdist.cli`` that the package import already loaded
+        g, _ = chain_pair()
+        path = graph_file(tmp_path, g, "a.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "posetdist", "dmces", path, path],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "3"
+        assert proc.stderr == ""

@@ -152,6 +152,16 @@ class TestDE:
         assert r.distance == Fraction(0)
         assert r.solver is Solver.CLIQUE
 
+    def test_identical_pair_with_a_large_complete_compatibility_graph(self):
+        # 600 distinct labels and 1500 edges: k = 1500 clique vertices, all
+        # pairwise compatible, so the greedy clique is already the optimum
+        ids = [f"q{i:03d}" for i in range(600)]
+        edges = [(ids[i], ids[i + d]) for d in (1, 2, 3) for i in range(600 - d)][:1500]
+        g = LabeledDigraph(ids, {v: v for v in ids}, edges)
+        r = d_e(g, g)
+        assert r.solver is Solver.CLIQUE
+        assert r.dmces_value == 1500
+
     def test_budget_figure(self):
         g, g2 = budget_pair()
         r = d_e(g, g2)
