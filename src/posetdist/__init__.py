@@ -8,7 +8,7 @@ digraphs; applied to transitive closures it compares labeled posets.
 
 Five interchangeable solvers compute the same value: a small brute-force
 oracle, a reduction to maximum clique in a compatibility graph built on a
-derived edge-adjacency digraph, and three recursive solvers with
+derived edge-adjacency digraph, and three branch-and-bound searches with
 increasingly aggressive pruning for transitively closed inputs.
 """
 

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 from . import fileio
 from .bench import BenchConfig, bench_harness, rows_to_csv
@@ -155,7 +155,11 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it as
+    it was, and help and errors go to the ``sys.stdout`` / ``sys.stderr``
+    of the moment."""
     parser = _Parser(prog="posetdist", description="edge-overlap distances on labeled digraphs")
     sub = parser.add_subparsers(dest="command", required=True)
 

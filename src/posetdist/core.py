@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
     AntisymmetryViolation,
@@ -104,6 +104,15 @@ class LabeledDigraph:
         for u, v in self.edges:
             adj[v].append(u)
         return {v: tuple(ws) for v, ws in adj.items()}
+
+    @cached_property
+    def adjacency_masks(
+        self,
+    ) -> tuple[dict[NodeId, int], tuple[int, ...], tuple[int, ...]]:
+        """``(index, out, inn)`` from :func:`_adjacency_masks`, built once
+        per graph object and shared by validation and the order searches
+        of :mod:`posetdist.solvers`, which only read it."""
+        return _adjacency_masks(self)
 
     @cached_property
     def report(self) -> "PropertyReport":
@@ -270,9 +279,10 @@ def validate_properties(g: LabeledDigraph) -> PropertyReport:
       transitive reduction is a single directed chain covering the class
       (a literal path and the closure of a path both qualify).
 
-    Every flag is read off the bitmasks of :func:`_adjacency_masks`.
+    Every flag is read off the graph's cached bitmasks,
+    ``g.adjacency_masks``.
     """
-    index, out, inn = _adjacency_masks(g)
+    index, out, inn = g.adjacency_masks
     n = len(index)
     everything = (1 << n) - 1
     oriented = not any(a & b for a, b in zip(out, inn))
@@ -304,12 +314,14 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _adjacency_masks(g: LabeledDigraph) -> tuple[dict[NodeId, int], list[int], list[int]]:
+def _adjacency_masks(
+    g: LabeledDigraph,
+) -> tuple[dict[NodeId, int], tuple[int, ...], tuple[int, ...]]:
     """The position of every node in ``g.nodes``, and one out- and one
     in-neighbour bitmask per node: bit ``j`` of ``out[i]`` is set when
     ``g`` has the edge ``nodes[i] -> nodes[j]``, and then bit ``i`` of
-    ``inn[j]`` is set too.  Built afresh on every call, so no graph holds
-    the masks after it."""
+    ``inn[j]`` is set too.  Built afresh on every call; a graph caches its
+    own as ``g.adjacency_masks``."""
     index = {v: i for i, v in enumerate(g.nodes)}
     out = [0] * len(index)
     inn = [0] * len(index)
@@ -317,10 +329,10 @@ def _adjacency_masks(g: LabeledDigraph) -> tuple[dict[NodeId, int], list[int], l
         i, j = index[u], index[v]
         out[i] |= 1 << j
         inn[j] |= 1 << i
-    return index, out, inn
+    return index, tuple(out), tuple(inn)
 
 
-def _descendants(out: list[int], inn: list[int]) -> list[int]:
+def _descendants(out: Sequence[int], inn: Sequence[int]) -> list[int]:
     """Mask of the nodes reachable from each node by a path of one or more
     edges.  A node on a cycle, a self-loop included, has its own bit.
 
@@ -337,7 +349,7 @@ def _descendants(out: list[int], inn: list[int]) -> list[int]:
     return desc
 
 
-def _union(masks: list[int], mask: int) -> int:
+def _union(masks: Sequence[int], mask: int) -> int:
     """The OR of ``masks[j]`` over the set bits ``j`` of ``mask``."""
     union = 0
     for j in _bits(mask):
@@ -345,7 +357,7 @@ def _union(masks: list[int], mask: int) -> int:
     return union
 
 
-def _reach(adj: list[int], seen: int) -> int:
+def _reach(adj: Sequence[int], seen: int) -> int:
     """Mask of the nodes of ``seen`` and of every node reachable from them
     along the neighbour masks ``adj``."""
     frontier = seen
@@ -355,7 +367,7 @@ def _reach(adj: list[int], seen: int) -> int:
     return seen
 
 
-def _peel(out: list[int], inn: list[int], mask: int) -> tuple[list[int], bool]:
+def _peel(out: Sequence[int], inn: Sequence[int], mask: int) -> tuple[list[int], bool]:
     """Kahn's algorithm on the subgraph induced by ``mask``.
 
     Returns the nodes in the order it removed them, which is all of them
@@ -378,7 +390,7 @@ def _peel(out: list[int], inn: list[int], mask: int) -> tuple[list[int], bool]:
     return order, unique
 
 
-def _unique_order(out: list[int], inn: list[int], mask: int) -> bool:
+def _unique_order(out: Sequence[int], inn: Sequence[int], mask: int) -> bool:
     """True iff the subgraph induced by ``mask`` is acyclic and its
     transitive reduction is one directed path through all of it, that is,
     iff it has exactly one topological order."""
@@ -473,7 +485,7 @@ def predecessors(g: LabeledDigraph, v: NodeId) -> frozenset[NodeId]:
     not merely in-neighbors; the two coincide on transitive closures)."""
     if v not in g.node_labels:
         raise ValueError(f"unknown node {v!r}")
-    index, _, inn = _adjacency_masks(g)
+    index, _, inn = g.adjacency_masks
     i = index[v]
     return frozenset(g.nodes[j] for j in _bits(_reach(inn, inn[i]) & ~(1 << i)))
 
@@ -512,10 +524,10 @@ def transitive_reduction(g: LabeledDigraph) -> LabeledDigraph:
     return LabeledDigraph(g.nodes, g.node_labels, _edges(g.nodes, covers))
 
 
-def _dag_masks(g: LabeledDigraph, operation: str) -> tuple[list[int], list[int]]:
+def _dag_masks(g: LabeledDigraph, operation: str) -> tuple[Sequence[int], list[int]]:
     """The out-neighbour and descendant masks of ``g``; raises
     CycleDetected when some node is its own descendant."""
-    _, out, inn = _adjacency_masks(g)
+    _, out, inn = g.adjacency_masks
     desc = _descendants(out, inn)
     if any(d >> i & 1 for i, d in enumerate(desc)):
         raise CycleDetected(f"{operation} requires an acyclic graph")

@@ -99,24 +99,25 @@ def find_isomorphism(g, g2) -> Optional[Bijection]:
                 return False
         return True
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if w in used or not consistent(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if extend(0):
-        return Bijection(tuple((v, mapping[v]) for v in order))
-    return None
+    # one candidate iterator per node of ``order`` down to the one being
+    # placed, on an explicit stack so that the depth is not capped by the
+    # recursion limit; every node below the top one is mapped
+    stack: list = []
+    while len(mapping) < len(order):
+        if len(stack) == len(mapping):
+            stack.append(iter(candidates[order[len(stack)]]))
+        v = order[len(stack) - 1]
+        for w in stack[-1]:
+            if w not in used and consistent(v, w):
+                mapping[v] = w
+                used.add(w)
+                break
+        else:
+            stack.pop()
+            if not stack:
+                return None
+            used.discard(mapping.pop(order[len(stack) - 1]))
+    return Bijection(tuple((v, mapping[v]) for v in order))
 
 
 def is_label_respecting(phi: Bijection, g, g2) -> bool:

@@ -19,10 +19,11 @@ solutions is the quantity every solver here computes:
   when every label class is a chain, cutting branches whose remaining
   image supply cannot reach the per-label target.
 
-All three recursive solvers also carry an admissible score bound (a branch
-is cut when even deciding every remaining edge in its favor cannot beat
-the best score already found).  The bound never changes the value or the
-reported witness; it only skips work.
+These three are one branch-and-bound search (:func:`_pick_nodes`) that
+keeps its own stack, so no input is too deep for it.  It also carries an
+admissible score bound (a branch is cut when even deciding every remaining
+edge in its favor cannot beat the best score already found).  The bound
+never changes the value or the reported witness; it only skips work.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .core import LabeledDigraph, PosetDigraph, topological_sort
+from .core import LabeledDigraph, PosetDigraph, _bits, topological_sort
 from .errors import (
     DegenerateInput,
     InvalidMatching,
@@ -289,8 +290,8 @@ def _require(
 
 
 def dmces_alg1(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
-    """Recursive search with per-label cardinality pruning; inputs must be
-    weakly connected, simple, and oriented."""
+    """Branch-and-bound search with per-label cardinality pruning; inputs
+    must be weakly connected, simple, and oriented."""
     _require(g, g2)
     phi = _pick_nodes(g, g2, order_filter=False, path_budget=False)
     return _outcome(g, g2, phi, Solver.ALG1)
@@ -323,7 +324,7 @@ def _pick_nodes(
     order_filter: bool,
     path_budget: bool,
 ) -> NodeMatching:
-    """The shared recursion behind the three pruned solvers.
+    """The shared search behind the three pruned solvers.
 
     Nodes of ``g`` are processed in a fixed order (topological when the
     order filter is on); each is mapped to a candidate image (ascending id)
@@ -331,113 +332,132 @@ def _pick_nodes(
     stays reachable.  Each edge of ``g`` is decided exactly once, at the
     moment its later-processed endpoint is handled: realized (score),
     or dead (an endpoint skipped, or the image pair is not an edge).
-    ``n_edges - dead`` is therefore an upper bound on any completion of the
-    current branch, and branches that cannot strictly beat the incumbent
-    are cut.
+    ``bound = n_edges - dead`` is therefore an upper bound on any
+    completion of the current branch, and branches that cannot strictly
+    beat the incumbent are cut.
+
+    The search runs depth-first on an explicit stack, so its depth is not
+    capped by the recursion limit, and reads both graphs' cached
+    ``adjacency_masks``.  Node sets are bitmasks held by value in the
+    frames: ``used`` and ``dead_images`` (alg3's permanently unusable
+    images) of ``g2``, ``mapped`` and ``skipped`` of ``g``.  So
+    backtracking undoes nothing; ``img[u]`` is read only while ``u`` is in
+    ``mapped``.  A frame serves the node at position ``i``:
+
+    - ``cursor`` runs over its candidates, then ``-1`` for the skip;
+    - ``bound`` already counts every edge to a processed node as dead;
+    - ``a_in`` / ``a_out`` hold the images of its mapped in- /
+      out-neighbours, so candidate ``j`` realizes the edges in
+      ``a_in & in2[j]`` and ``a_out & out2[j]``;
+    - ``avail`` holds the candidates that are unused, not dead and (order
+      filter) not in-neighbours of the image of a same-label in-neighbour;
+    - ``free`` and ``slack`` serve alg3's image-supply test.
     """
-    order = topological_sort(g) if order_filter else list(g.nodes)
+    index, out, inn = g.adjacency_masks
+    index2, out2, in2 = g2.adjacency_masks
     labels = g.node_labels
     target = label_budget(g, g2).per_label
-    candidates_by_label = {a: sorted(vs) for a, vs in g2.label_classes.items()}
-    class2_size = {a: len(vs) for a, vs in g2.label_classes.items()}
-    in_nb = g.in_neighbors
-    out_nb = g.out_neighbors
-    in_nb2 = {v: frozenset(ws) for v, ws in g2.in_neighbors.items()}
-    edge_set2 = g2.edge_set
-    label2 = g2.node_labels
-    n_edges = len(g.edges)
+    candidates = {
+        a: [index2[v] for v in sorted(vs)] for a, vs in g2.label_classes.items()
+    }
+    class2 = {a: sum(1 << j for j in js) for a, js in candidates.items()}
+    same = {a: sum(1 << index[v] for v in vs) for a, vs in g.label_classes.items()}
+    branches = {a: js + [-1] for a, js in candidates.items()}
+    # per position: the node, its in- and out-neighbours, its same-label
+    # nodes (order filter only), its branches, its candidates' class, the
+    # matches of that label a skip needs, and the class size beyond target
+    steps = []
+    later = dict.fromkeys(same, 0)
+    for v in reversed(topological_sort(g) if order_filter else g.nodes):
+        a = labels[v]
+        m = index[v]
+        steps.append((
+            m,
+            inn[m],
+            out[m],
+            same[a] if order_filter else 0,
+            branches.get(a, [-1]),
+            class2.get(a, 0),
+            target[a] - later[a],
+            len(candidates.get(a, ())) - target[a],
+        ))
+        later[a] += 1
+    steps.reverse()
+    n = len(steps)
 
-    remaining = {a: len(vs) for a, vs in g.label_classes.items()}
-    phi: dict[str, str] = {}
-    used: set[str] = set()
-    matched_count: dict[str, int] = {a: 0 for a in remaining}
-    skipped: set[str] = set()
-    dead_images: set[str] = set()  # alg3's permanently unusable image nodes
-
+    img = [0] * n
     best = -1
-    best_phi: dict[str, str] = {}
-
-    def decide_edges(m: str, n: Optional[str]) -> tuple[int, int]:
-        """Score/dead deltas for processing ``m`` (mapped to ``n``, or
-        skipped when ``n`` is None), counting only edges between ``m`` and
-        already-processed nodes."""
-        gained = 0
-        lost = 0
-        for u in in_nb[m]:
-            if u in phi:
-                if n is not None and (phi[u], n) in edge_set2:
-                    gained += 1
-                else:
-                    lost += 1
-            elif u in skipped:
-                lost += 1
-        for u in out_nb[m]:
-            if u in phi:
-                if n is not None and (n, phi[u]) in edge_set2:
-                    gained += 1
-                else:
-                    lost += 1
-            elif u in skipped:
-                lost += 1
-        return gained, lost
-
-    def recurse(i: int, current_score: int, dead: int) -> None:
-        nonlocal best, best_phi
-        if i == len(order):
-            if current_score > best:
-                best = current_score
-                best_phi = dict(phi)
-            return
-        m = order[i]
-        lab = labels[m]
-        remaining[lab] -= 1
-
-        if order_filter:
-            cross: set[str] = set()
-            for u in in_nb[m]:
-                if u in phi and labels[u] == lab:
-                    cross |= in_nb2[phi[u]]
-        for n in candidates_by_label.get(lab, ()):
-            if n in used or n in dead_images:
-                continue
-            if order_filter and n in cross:
-                continue
-            if path_budget:
-                fresh = [
-                    v
-                    for v in in_nb2[n]
-                    if v not in used and v not in dead_images and label2[v] == lab
-                ]
-                killed = len(fresh) + sum(
-                    1 for v in dead_images if label2[v] == lab
+    best_pairs: tuple[tuple[str, str], ...] = ()
+    stack: list[tuple] = []
+    # the branch entered next
+    i, score, bound, used, dead_images, mapped, skipped = 0, 0, len(g.edges), 0, 0, 0, 0
+    while True:
+        if i == n:
+            if score > best:
+                best = score
+                best_pairs = tuple(
+                    (g.nodes[u], g2.nodes[img[u]]) for u in _bits(mapped)
                 )
-                if target[lab] > class2_size[lab] - killed:
+        else:
+            _, in_m, out_m, same_m, cand, cls2, _, spare = steps[i]
+            a_in = a_out = cross = 0
+            x = in_m & mapped
+            while x:
+                low = x & -x
+                x ^= low
+                j = img[low.bit_length() - 1]
+                a_in |= 1 << j
+                if low & same_m:
+                    cross |= in2[j]
+            x = out_m & mapped
+            while x:
+                low = x & -x
+                x ^= low
+                a_out |= 1 << img[low.bit_length() - 1]
+            bound -= ((in_m | out_m) & (mapped | skipped)).bit_count()
+            free = cls2 & ~used & ~dead_images
+            slack = spare - (dead_images & cls2).bit_count()
+            stack.append((
+                i, iter(cand), score, bound, used, dead_images, mapped, skipped,
+                a_in, a_out, free & ~cross, free, slack,
+            ))
+        # the next branch: the top frame's next candidate, else its skip
+        while stack:
+            (i, cursor, score, bound, used, dead_images, mapped, skipped,
+             a_in, a_out, avail, free, slack) = stack[-1]
+            for j in cursor:
+                if j < 0:
+                    m, _, _, _, _, cls2, need, _ = steps[i]
+                    if (used & cls2).bit_count() >= need and bound > best:
+                        skipped |= 1 << m
+                        break
                     continue
-            gained, lost = decide_edges(m, n)
-            if n_edges - (dead + lost) <= best:
+                if not avail >> j & 1:
+                    continue
+                fresh = 0
+                if path_budget:
+                    fresh = in2[j] & free
+                    if fresh.bit_count() > slack:
+                        continue
+                gained = (a_in & in2[j]).bit_count() + (a_out & out2[j]).bit_count()
+                if bound + gained <= best:
+                    continue
+                m = steps[i][0]
+                img[m] = j
+                score += gained
+                bound += gained
+                used |= 1 << j
+                dead_images |= fresh
+                mapped |= 1 << m
+                break
+            else:
+                stack.pop()
                 continue
-            phi[m] = n
-            used.add(n)
-            matched_count[lab] += 1
-            if path_budget:
-                dead_images.update(fresh)
-            recurse(i + 1, current_score + gained, dead + lost)
-            if path_budget:
-                dead_images.difference_update(fresh)
-            matched_count[lab] -= 1
-            used.discard(n)
-            del phi[m]
+            break
+        else:
+            break
+        i += 1
 
-        if matched_count[lab] + remaining[lab] + 1 > target[lab]:
-            _, lost = decide_edges(m, None)
-            if n_edges - (dead + lost) > best:
-                skipped.add(m)
-                recurse(i + 1, current_score, dead + lost)
-                skipped.discard(m)
-
-        remaining[lab] += 1
-
-    recurse(0, 0, 0)
     if best < 0:
         raise RuntimeError("search produced no feasible solution")  # unreachable
-    return NodeMatching(tuple(best_phi.items()))
+    return NodeMatching(best_pairs)

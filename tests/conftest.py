@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -25,6 +26,29 @@ def subprocess_env(**extra: str) -> dict[str, str]:
     src = str(Path(posetdist.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return {**os.environ, **extra, "PYTHONPATH": path}
+
+
+def deep_ids() -> list[str]:
+    """``sys.getrecursionlimit() + 100`` node ids in ascending order, so a
+    search that recursed once per node would overflow the stack."""
+    return [f"p{i:04d}" for i in range(sys.getrecursionlimit() + 100)]
+
+
+def deep_path() -> LabeledDigraph:
+    """A directed path on :func:`deep_ids`, every node with its own label."""
+    ids = deep_ids()
+    return LabeledDigraph(ids, {v: v for v in ids}, zip(ids, ids[1:]))
+
+
+def deep_chain_closure() -> LabeledDigraph:
+    """The transitive closure of a one-label path on :func:`deep_ids`: a
+    chain poset whose one label class is a chain."""
+    ids = deep_ids()
+    return LabeledDigraph(
+        ids,
+        dict.fromkeys(ids, "a"),
+        ((u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]),
+    )
 
 
 def seeded_graphs(kind: str, min_nodes: int = 3, max_nodes: int = 8):

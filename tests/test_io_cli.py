@@ -525,6 +525,35 @@ class TestCliExitCodes:
         assert cli_main(["--help"]) == 0
         assert "distance" in capsys.readouterr().out
 
+    def test_one_parser_serves_every_call_as_a_fresh_one_would(self, tmp_path, capsys):
+        from posetdist.cli import _build_parser
+
+        g, g2 = chain_pair()
+        a, b = graph_file(tmp_path, g, "a.json"), graph_file(tmp_path, g2, "b.json")
+        calls = [
+            ["distance", a],
+            ["distance", a, b, "--witness"],
+            ["--help"],
+            ["dmces", a, b],
+            ["mcis", a, b, "--json"],
+            ["validate", a],
+        ]
+
+        def run(fresh: bool) -> list[tuple[int, str, str]]:
+            seen = []
+            for argv in calls:
+                if fresh:
+                    _build_parser.cache_clear()
+                code = cli_main(argv)
+                seen.append((code, *capsys.readouterr()))
+            return seen
+
+        _build_parser.cache_clear()
+        reused = run(fresh=False)
+        assert _build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in reused] == [64, 0, 0, 0, 0, 0]
+        assert reused == run(fresh=True)
+
     def test_internal_error_exits_one(self, tmp_path, capsys, monkeypatch):
         import posetdist.cli as cli_module
 

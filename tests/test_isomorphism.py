@@ -1,5 +1,7 @@
 """Backtracking isomorphism search against a permutation oracle."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from posetdist import (
     find_isomorphism,
     is_label_respecting,
 )
-from conftest import chain_pair, diamond_graph, raw_digraphs, star
+from conftest import chain_pair, deep_path, diamond_graph, raw_digraphs, star
 from oracles import perm_isomorphic
 
 
@@ -68,6 +70,11 @@ class TestBasics:
         g, h = diamond_graph(), permuted(diamond_graph(), 2)
         assert find_isomorphism(g, h) == find_isomorphism(g, h)
 
+    def test_path_deeper_than_the_recursion_limit(self):
+        g = deep_path()
+        phi = find_isomorphism(g, g)
+        assert phi.pairs == tuple(zip(g.nodes, g.nodes))
+
 
 class TestEdgeLabelSensitivity:
     def test_relationship_labels_distinguish_star_orientations(self):
@@ -92,6 +99,20 @@ class TestAgainstOracle:
         phi = find_isomorphism(g, h)
         assert phi is not None
         assert_valid_iso(phi, g, h)
+
+    @given(raw_digraphs(max_nodes=6), st.integers(0, 5))
+    def test_witness_is_the_first_isomorphism_in_lexicographic_order(self, g, shift):
+        h = permuted(g, shift)
+        order = sorted(g.nodes)
+        edges = set(h.edges)
+        first = next(
+            images
+            for images in itertools.permutations(sorted(h.nodes))
+            if all(g.node_labels[v] == h.node_labels[w] for v, w in zip(order, images))
+            and {(images[order.index(u)], images[order.index(v)]) for u, v in g.edges}
+            == edges
+        )
+        assert find_isomorphism(g, h).pairs == tuple(zip(order, first))
 
     @given(raw_digraphs(max_nodes=5), raw_digraphs(max_nodes=5))
     def test_success_is_symmetric(self, g, g2):

@@ -1,6 +1,5 @@
 """Edge- and node-overlap distances and the auto solver policy."""
 
-import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -14,6 +13,7 @@ from posetdist import (
     DistanceResult,
     LabeledDigraph,
     NodeMatching,
+    PosetDigraph,
     PropertyViolation,
     Solver,
     build_poset_digraph,
@@ -27,7 +27,14 @@ from posetdist import (
     score,
 )
 from posetdist.bench import seeded_pair
-from conftest import budget_pair, chain_pair, diamond_graph, seeded_graphs
+from conftest import (
+    budget_pair,
+    chain_pair,
+    deep_chain_closure,
+    deep_path,
+    diamond_graph,
+    seeded_graphs,
+)
 
 
 def long_open_path(n: int) -> LabeledDigraph:
@@ -145,12 +152,22 @@ class TestDE:
     def test_path_deeper_than_the_recursion_limit(self):
         # one clique vertex per edge, so the clique search holds a stack
         # deeper than the interpreter's recursion limit
-        n = sys.getrecursionlimit() + 100
-        ids = [f"p{i:04d}" for i in range(n)]
-        g = LabeledDigraph(ids, {v: v for v in ids}, [(a, b) for a, b in zip(ids, ids[1:])])
+        g = deep_path()
         r = d_e(g, g)
         assert r.distance == Fraction(0)
         assert r.solver is Solver.CLIQUE
+
+    def test_path_deeper_than_the_recursion_limit_under_alg1(self):
+        g = deep_path()
+        assert d_e(g, g, Solver.ALG1).distance == Fraction(0)
+
+    def test_chain_closure_deeper_than_the_recursion_limit(self):
+        # one search frame per node, under alg3 and under alg2
+        g = deep_chain_closure()
+        r = d_e(g, g)
+        assert r.solver is Solver.ALG3
+        assert r.distance == Fraction(0)
+        assert d_e(g, g, Solver.ALG2).distance == Fraction(0)
 
     def test_identical_pair_with_a_large_complete_compatibility_graph(self):
         # 600 distinct labels and 1500 edges: k = 1500 clique vertices, all
@@ -340,6 +357,12 @@ class TestPosetDistance:
     def test_self_distance_is_zero(self):
         p, _ = self.shuffled_chains()
         assert poset_distance(p, p).distance == 0
+
+    def test_chain_poset_deeper_than_the_recursion_limit(self):
+        p = PosetDigraph(deep_chain_closure())
+        r = poset_distance(p, p)
+        assert r.solver is Solver.ALG3
+        assert r.distance == 0
 
     def test_branching_label_class_uses_the_clique_route(self):
         p = build_poset_digraph(

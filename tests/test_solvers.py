@@ -27,10 +27,13 @@ from posetdist import (
     score,
     untwist,
 )
-from posetdist.bench import _BRUTE_MATCHINGS, matching_count
+from posetdist.bench import _BRUTE_MATCHINGS, matching_count, seeded_pair
+from posetdist.core import _adjacency_masks
 from conftest import (
     budget_pair,
     chain_pair,
+    deep_chain_closure,
+    deep_path,
     equal_score_twist,
     seeded_graphs,
     triangle,
@@ -482,3 +485,90 @@ class TestAllRoutesAgree:
             dmces_via_clique(g, g2).value,
         }
         assert values == {2}
+
+
+# repr((value, witness, solver)) of the order searches on seeded pairs,
+# taken from the recursive search they replaced.  Each pair has other
+# optimal matchings, so the pins fix the branch order, not just the value;
+# the second graph's nodes are inserted in reverse, so that its ids and its
+# positions run in opposite directions
+GOLDEN = [
+    (
+        dmces_alg1,
+        ("wso", 7, 2, 0.45, 4100),
+        "(5, NodeMatching(pairs=(('n0', 'n3'), ('n1', 'n4'), ('n2', 'n0'), "
+        "('n3', 'n6'), ('n4', 'n2'), ('n6', 'n5'))), <Solver.ALG1: 'alg1'>)",
+    ),
+    (
+        dmces_alg1,
+        ("wso", 7, 2, 0.45, 4102),
+        "(6, NodeMatching(pairs=(('n0', 'n3'), ('n1', 'n1'), ('n2', 'n2'), "
+        "('n4', 'n6'), ('n5', 'n4'), ('n6', 'n5'))), <Solver.ALG1: 'alg1'>)",
+    ),
+    (
+        dmces_alg2,
+        ("closure", 7, 2, 0.45, 4210),
+        "(9, NodeMatching(pairs=(('n0', 'n4'), ('n1', 'n0'), ('n2', 'n6'), "
+        "('n3', 'n5'), ('n4', 'n2'), ('n5', 'n1'), ('n6', 'n3'))), "
+        "<Solver.ALG2: 'alg2'>)",
+    ),
+    (
+        dmces_alg2,
+        ("closure", 7, 2, 0.45, 4218),
+        "(6, NodeMatching(pairs=(('n0', 'n0'), ('n2', 'n2'), ('n3', 'n3'), "
+        "('n5', 'n5'), ('n6', 'n1'))), <Solver.ALG2: 'alg2'>)",
+    ),
+    (
+        dmces_alg3,
+        ("path-closure", 8, 2, 0.45, 4300),
+        "(20, NodeMatching(pairs=(('n0', 'n3'), ('n1', 'n1'), ('n2', 'n5'), "
+        "('n3', 'n2'), ('n4', 'n6'), ('n5', 'n7'), ('n6', 'n4'), ('n7', 'n0'))), "
+        "<Solver.ALG3: 'alg3'>)",
+    ),
+    (
+        dmces_alg3,
+        ("path-closure", 8, 2, 0.45, 4304),
+        "(20, NodeMatching(pairs=(('n0', 'n6'), ('n1', 'n5'), ('n2', 'n0'), "
+        "('n3', 'n3'), ('n4', 'n7'), ('n5', 'n1'), ('n6', 'n2'), ('n7', 'n4'))), "
+        "<Solver.ALG3: 'alg3'>)",
+    ),
+]
+
+
+class TestOrderSearch:
+    @pytest.mark.parametrize("solver, spec, expected", GOLDEN)
+    def test_golden_results_on_seeded_pairs(self, solver, spec, expected):
+        g, g2 = seeded_pair(*spec)
+        g2 = LabeledDigraph(g2.nodes[::-1], g2.node_labels, g2.edges)
+        out = solver(g, g2)
+        assert repr((out.value, out.witness, out.solver)) == expected
+        assert outcome_is_consistent(g, g2, out)
+
+    def test_alg2_on_a_chain_closure_deeper_than_the_recursion_limit(self):
+        g = deep_chain_closure()
+        out = dmces_alg2(g, g)
+        assert out.value == len(g.edges)
+        assert out.witness.pairs == tuple(zip(g.nodes, g.nodes))
+
+    def test_alg1_on_a_path_deeper_than_the_recursion_limit(self):
+        g = deep_path()
+        out = dmces_alg1(g, g)
+        assert out.value == len(g.edges)
+        assert out.witness.pairs == tuple(zip(g.nodes, g.nodes))
+
+    @pytest.mark.parametrize("seed", [4300, 4304, 4310])
+    def test_solvers_leave_the_cached_masks_as_built(self, seed):
+        g, g2 = seeded_pair("path-closure", 8, 2, 0.45, seed)
+        for solver in (
+            dmces_bruteforce,
+            dmces_alg1,
+            dmces_alg2,
+            dmces_alg3,
+            dmces_via_clique,
+        ):
+            solver(g, g2)
+            solver(g2, g)
+        for graph in (g, g2):
+            index, out, inn = graph.adjacency_masks
+            assert type(out) is type(inn) is tuple
+            assert graph.adjacency_masks == _adjacency_masks(graph)
