@@ -18,7 +18,7 @@ from .clique import mcis
 from .errors import PosetDistError
 from .generate import KINDS, generate_instance
 from .line_digraph import extended_line_digraph
-from .metric import AUTO, DistanceResult, d_e, poset_distance
+from .metric import AUTO, DistanceResult, d_e
 from .solvers import Solver
 
 USAGE_ERROR = 64
@@ -70,16 +70,9 @@ def _print_result(result: DistanceResult, elapsed_ms: float, args) -> None:
 
 
 def _cmd_distance(args) -> int:
-    if args.poset:
-        timed = _timed(args, fileio.load_poset, poset_distance)
-    else:
-        timed = _timed(args, fileio.load_graph, partial(d_e, solver=args.solver))
-    _print_result(*timed, args)
-    return 0
-
-
-def _cmd_dmces(args) -> int:
-    _print_result(*_timed(args, fileio.load_graph, partial(d_e, solver=args.solver)), args)
+    """``distance`` and ``dmces``: one ``d_e`` call, printed two ways."""
+    load = fileio.load_poset if args.poset else fileio.load_graph
+    _print_result(*_timed(args, load, partial(d_e, solver=args.solver)), args)
     return 0
 
 
@@ -178,7 +171,7 @@ def _build_parser() -> _Parser:
     dm.add_argument("--solver", choices=_SOLVER_CHOICES, default="auto")
     dm.add_argument("--witness", action="store_true")
     dm.add_argument("--json", action="store_true")
-    dm.set_defaults(func=_cmd_dmces)
+    dm.set_defaults(func=_cmd_distance, poset=False)
 
     mc = sub.add_parser("mcis", help="common induced subgraph size of two graphs")
     mc.add_argument("first")

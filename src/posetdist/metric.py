@@ -37,10 +37,11 @@ AUTO = "auto"
 # vertex, about 12.5 MB at this limit.
 _CLIQUE_AUTO_LIMIT = 10_000
 # Closure pairs that are not all chains take the clique route up to this
-# many compatibility-graph vertices k, alg2 beyond.  On a seeded grid of
-# 8-14-node closures the clique search was faster on most pairs, but lost
-# by more than 0.1 s from k = 240 and by seconds past k of about 400
-# (the crossover table is in CHANGES.md).
+# many compatibility-graph vertices k, alg2 beyond.  On the re-run seeded
+# grid of 8-14-node closures (the crossover table is in CHANGES.md) the
+# clique search was faster on most pairs up to k = 400 and lost by at most
+# 0.026 s there; it first lost by more than 0.1 s at k = 493, and its
+# median time passed alg2's above k = 700.
 _CLOSURE_CLIQUE_GATE = 230
 
 
@@ -120,13 +121,13 @@ def choose_solver(g: LabeledDigraph, g2: LabeledDigraph) -> Solver:
 
 
 def d_e(
-    g: LabeledDigraph,
-    g2: LabeledDigraph,
+    g: LabeledDigraph | PosetDigraph,
+    g2: LabeledDigraph | PosetDigraph,
     solver: Union[Solver, str] = AUTO,
 ) -> DistanceResult:
     """Edge-overlap distance between two weakly connected, simple,
     oriented node-labeled digraphs, each with at least one edge."""
-    _require(g, g2, edges=True)
+    g, g2 = _require(g, g2, edges=True)
     if solver == AUTO:
         solver = choose_solver(g, g2)
     outcome = solve(g, g2, solver)
@@ -157,4 +158,4 @@ def poset_distance(p: PosetDigraph, p2: PosetDigraph) -> DistanceResult:
     when every label class is a chain in both, the clique route when the
     compatibility graph has at most ``_CLOSURE_CLIQUE_GATE`` vertices (see
     :func:`choose_solver`), and the order-respecting solver otherwise."""
-    return d_e(p.graph, p2.graph)
+    return d_e(p, p2)

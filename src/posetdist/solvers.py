@@ -93,12 +93,12 @@ class LabelBudget:
 
 @dataclass(frozen=True)
 class DmcesOutcome:
-    """A solver result: optimal value, one optimal matching, the edge pairs
-    it realizes, and which solver produced it."""
+    """A solver result: optimal value, one optimal matching, and which
+    solver produced it.  The witness passed :func:`_outcome`'s check: it
+    realizes exactly ``value`` edges, which :func:`matched_edges` lists."""
 
     value: int
     witness: NodeMatching
-    matched_edges: frozenset[tuple[tuple[str, str], tuple[str, str]]]
     solver: Solver
 
 
@@ -122,7 +122,11 @@ def score(g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching) -> int:
     """Number of edges (v1, v2) of ``g`` whose image (phi(v1), phi(v2)) is
     an edge of ``g2``."""
     _check_matching(g, g2, phi)
-    return len(matched_edges(g, g2, phi))
+    m = phi.mapping
+    edge_set2 = g2.edge_set
+    return sum(
+        1 for a, b in g.edges if a in m and b in m and (m[a], m[b]) in edge_set2
+    )
 
 
 def matched_edges(
@@ -191,10 +195,18 @@ def untwist(
 
 
 def _outcome(
-    g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching, solver: Solver
+    g: LabeledDigraph, g2: LabeledDigraph, value: int, phi: NodeMatching, solver: Solver
 ) -> DmcesOutcome:
-    edges = matched_edges(g, g2, phi)
-    return DmcesOutcome(len(edges), phi, edges, solver)
+    """The one witness check of every solver: ``phi`` must be injective,
+    label-respecting and realize the ``value`` its search claims; else the
+    search is at fault, a ``RuntimeError`` (exit code 1 in the CLI)."""
+    try:
+        realized = score(g, g2, phi)
+    except InvalidMatching as exc:
+        raise RuntimeError(f"internal error: {solver.value} witness: {exc}") from exc
+    if realized != value:
+        raise RuntimeError(f"internal error: {solver.value} scored {value}, witness {realized}")
+    return DmcesOutcome(value, phi, solver)
 
 
 def dmces_bruteforce(
@@ -251,7 +263,7 @@ def dmces_bruteforce(
         recurse(i + 1)  # skip m
 
     recurse(0)
-    return _outcome(g, g2, NodeMatching(tuple(best_phi.items())), Solver.BRUTE)
+    return _outcome(g, g2, best, NodeMatching(tuple(best_phi.items())), Solver.BRUTE)
 
 
 def _require(
@@ -289,12 +301,14 @@ def _require(
     return pair
 
 
-def dmces_alg1(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
+def dmces_alg1(
+    g: LabeledDigraph | PosetDigraph, g2: LabeledDigraph | PosetDigraph
+) -> DmcesOutcome:
     """Branch-and-bound search with per-label cardinality pruning; inputs
     must be weakly connected, simple, and oriented."""
-    _require(g, g2)
-    phi = _pick_nodes(g, g2, order_filter=False, path_budget=False)
-    return _outcome(g, g2, phi, Solver.ALG1)
+    ga, gb = _require(g, g2)
+    value, phi = _pick_nodes(ga, gb, order_filter=False, path_budget=False)
+    return _outcome(ga, gb, value, phi, Solver.ALG1)
 
 
 def dmces_alg2(
@@ -303,8 +317,8 @@ def dmces_alg2(
     """Alg 1 plus order-respecting pruning; inputs must be transitive
     closures (weakly connected, simple, oriented)."""
     ga, gb = _require(g, g2, closure=True)
-    phi = _pick_nodes(ga, gb, order_filter=True, path_budget=False)
-    return _outcome(ga, gb, phi, Solver.ALG2)
+    value, phi = _pick_nodes(ga, gb, order_filter=True, path_budget=False)
+    return _outcome(ga, gb, value, phi, Solver.ALG2)
 
 
 def dmces_alg3(
@@ -313,8 +327,8 @@ def dmces_alg3(
     """Alg 2 plus dead-image tracking; inputs must be transitive closures
     whose label classes are directed chains."""
     ga, gb = _require(g, g2, closure=True, chains=True)
-    phi = _pick_nodes(ga, gb, order_filter=True, path_budget=True)
-    return _outcome(ga, gb, phi, Solver.ALG3)
+    value, phi = _pick_nodes(ga, gb, order_filter=True, path_budget=True)
+    return _outcome(ga, gb, value, phi, Solver.ALG3)
 
 
 def _pick_nodes(
@@ -323,8 +337,9 @@ def _pick_nodes(
     *,
     order_filter: bool,
     path_budget: bool,
-) -> NodeMatching:
-    """The shared search behind the three pruned solvers.
+) -> tuple[int, NodeMatching]:
+    """The shared search behind the three pruned solvers: the best score
+    and a matching that realizes it.
 
     Nodes of ``g`` are processed in a fixed order (topological when the
     order filter is on); each is mapped to a candidate image (ascending id)
@@ -458,6 +473,4 @@ def _pick_nodes(
             break
         i += 1
 
-    if best < 0:
-        raise RuntimeError("search produced no feasible solution")  # unreachable
-    return NodeMatching(best_pairs)
+    return best, NodeMatching(best_pairs)

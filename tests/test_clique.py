@@ -21,6 +21,7 @@ from posetdist import (
     dmces_bruteforce,
     dmces_via_clique,
     extended_line_digraph,
+    matched_edges,
     max_clique,
     mcis,
 )
@@ -428,7 +429,7 @@ class TestCliqueRoute:
         assert all(
             g.node_labels[v] == g.node_labels[w] for v, w in mapping.items()
         )
-        assert out.value == len(out.matched_edges)
+        assert out.value == len(matched_edges(g, g, out.witness))
 
     def test_endpoints_of_another_label_are_an_internal_error(self, monkeypatch):
         # a vertex that pairs edges of different endpoint labels gives an

@@ -351,6 +351,20 @@ class TestCliDistance:
         assert payload["distance_exact"] == "1/3"
         assert payload["solver"] == "alg3"
 
+    def test_poset_mode_runs_the_named_solver(self, tmp_path, capsys):
+        files = [
+            write(tmp_path / "p.json", POSET_CHAIN),
+            write(tmp_path / "q.json", POSET_SHUFFLED),
+        ]
+        payloads = []
+        for extra in ([], ["--solver", "alg2"]):
+            assert cli_main(["distance", *files, "--poset", "--json", *extra]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        auto, alg2 = payloads
+        assert auto["solver"] == "alg3"
+        assert alg2["solver"] == "alg2"
+        assert alg2["dmces"] == auto["dmces"]
+
 
 class TestCliOtherCommands:
     def test_dmces_plain(self, tmp_path, capsys):

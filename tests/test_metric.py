@@ -21,7 +21,9 @@ from posetdist import (
     compatibility_graph,
     d_e,
     d_n,
+    dmces_alg1,
     dmces_alg2,
+    dmces_via_clique,
     extended_line_digraph,
     poset_distance,
     score,
@@ -357,6 +359,14 @@ class TestPosetDistance:
     def test_self_distance_is_zero(self):
         p, _ = self.shuffled_chains()
         assert poset_distance(p, p).distance == 0
+
+    def test_every_entry_point_takes_posets(self):
+        p, q = self.shuffled_chains()
+        for a, b in ((p, p), (p, q)):
+            value = poset_distance(a, b).dmces_value
+            assert dmces_alg1(a, b).value == value
+            assert dmces_via_clique(a, b).value == value
+            assert d_e(a, b).dmces_value == value
 
     def test_chain_poset_deeper_than_the_recursion_limit(self):
         p = PosetDigraph(deep_chain_closure())

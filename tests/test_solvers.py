@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+import posetdist.solvers as solvers_module
 from posetdist import (
     InvalidMatching,
     LabelClassNotPath,
@@ -16,6 +17,7 @@ from posetdist import (
     SizeCapExceeded,
     Solver,
     build_poset_digraph,
+    cli_main,
     dmces_alg1,
     dmces_alg2,
     dmces_alg3,
@@ -24,6 +26,7 @@ from posetdist import (
     label_budget,
     matched_edges,
     respects_order_on_labels,
+    save_graph,
     score,
     untwist,
 )
@@ -42,12 +45,13 @@ from oracles import best_score_enumerated, iter_matchings, score_by_definition
 
 
 def outcome_is_consistent(g, g2, out):
-    """value == score(witness) == |matched_edges|, and every recorded edge
+    """value == score(witness) == |matched_edges|, and every matched edge
     pair really is an edge on each side, related by the witness."""
     assert score(g, g2, out.witness) == out.value
-    assert len(out.matched_edges) == out.value
+    edges = matched_edges(g, g2, out.witness)
+    assert len(edges) == out.value
     m = out.witness.mapping
-    for (a, b), (c, d) in out.matched_edges:
+    for (a, b), (c, d) in edges:
         assert (a, b) in g.edge_set
         assert (c, d) in g2.edge_set
         assert m[a] == c and m[b] == d
@@ -572,3 +576,41 @@ class TestOrderSearch:
             index, out, inn = graph.adjacency_masks
             assert type(out) is type(inn) is tuple
             assert graph.adjacency_masks == _adjacency_masks(graph)
+
+
+class TestWitnessCheck:
+    """Every solver returns through one check of its value against its
+    witness; a search that reports a wrong result is an internal error."""
+
+    LIES = {
+        "value": (lambda value, phi: (value + 1, phi), "scored"),
+        "not-injective": (
+            lambda value, phi: (value, NodeMatching((("u", "u'"), ("v", "u'")))),
+            "not injective",
+        ),
+    }
+
+    @pytest.mark.parametrize("lie", sorted(LIES))
+    @pytest.mark.parametrize(
+        "solver, solve",
+        [(Solver.ALG1, dmces_alg1), (Solver.ALG2, dmces_alg2), (Solver.ALG3, dmces_alg3)],
+        ids=["alg1", "alg2", "alg3"],
+    )
+    def test_a_wrong_search_result_is_an_internal_error(
+        self, solver, solve, lie, tmp_path, capsys, monkeypatch
+    ):
+        g, g2 = chain_pair()
+        search = solvers_module._pick_nodes
+        distort, message = self.LIES[lie]
+        monkeypatch.setattr(
+            solvers_module,
+            "_pick_nodes",
+            lambda *args, **kwargs: distort(*search(*args, **kwargs)),
+        )
+        with pytest.raises(RuntimeError, match=f"internal error: .*{message}"):
+            solve(g, g2)
+        paths = [str(tmp_path / name) for name in ("a.json", "b.json")]
+        save_graph(g, paths[0])
+        save_graph(g2, paths[1])
+        assert cli_main(["dmces", *paths, "--solver", solver.value]) == 1
+        assert message in capsys.readouterr().err
