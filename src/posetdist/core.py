@@ -10,7 +10,9 @@ Every graph routine here (the structural report, topological order,
 transitive closure and reduction, poset construction, ancestors and line
 graphs) works on the graph's own adjacency, mostly as one out- and one
 in-neighbour bitmask per node; the package needs nothing beyond the
-standard library.
+standard library.  A graph caches what these routines derive from it: the
+masks, the structural report and the topological order.  Its constructor
+checks the whole edge list at once and loops only to name a bad edge.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -66,21 +68,23 @@ class LabeledDigraph:
         edges: Iterable[tuple[NodeId, NodeId]],
     ):
         node_tup = tuple(nodes)
-        if len(set(node_tup)) != len(node_tup):
-            raise ValueError("duplicate node ids")
         node_set = set(node_tup)
+        if len(node_set) != len(node_tup):
+            raise ValueError("duplicate node ids")
         labels = {v: node_labels[v] for v in node_tup}  # KeyError = missing label
-        seen: set[Edge] = set()
-        edge_list: list[Edge] = []
-        for u, v in edges:
-            if u not in node_set or v not in node_set:
-                raise ValueError(f"edge ({u!r}, {v!r}) references an undeclared node")
-            if (u, v) not in seen:
-                seen.add((u, v))
-                edge_list.append((u, v))
+        # the whole edge list is deduplicated and checked at once; the loop
+        # runs only to name the first bad edge (one that is no pair fails
+        # to unpack there)
+        edge_map = dict.fromkeys(map(tuple, edges))
+        if set(map(len, edge_map)) - {2} or not node_set.issuperset(
+            chain.from_iterable(edge_map)
+        ):
+            for u, v in edge_map:
+                if u not in node_set or v not in node_set:
+                    raise ValueError(f"edge ({u!r}, {v!r}) references an undeclared node")
         object.__setattr__(self, "nodes", node_tup)
         object.__setattr__(self, "node_labels", labels)
-        object.__setattr__(self, "edges", tuple(edge_list))
+        object.__setattr__(self, "edges", tuple(edge_map))
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -113,6 +117,13 @@ class LabeledDigraph:
         per graph object and shared by validation and the order searches
         of :mod:`posetdist.solvers`, which only read it."""
         return _adjacency_masks(self)
+
+    @cached_property
+    def topological_order(self) -> tuple[NodeId, ...]:
+        """The nodes in :func:`topological_sort`'s order, computed once per
+        graph object.  A cyclic graph caches nothing: every read runs Kahn
+        again and raises :class:`CycleDetected`."""
+        return _smallest_first_order(self)
 
     @cached_property
     def report(self) -> "PropertyReport":
@@ -286,9 +297,9 @@ def validate_properties(g: LabeledDigraph) -> PropertyReport:
     n = len(index)
     everything = (1 << n) - 1
     oriented = not any(a & b for a, b in zip(out, inn))
-    closed = all(
-        not out[index[v]] & ~(out[index[u]] | 1 << index[u]) for u, v in g.edges
-    )
+    # per node, the out-masks of its out-neighbours must stay inside its
+    # own out-mask (or be the node itself); the first node that fails ends it
+    closed = all(not _union(out, o) & ~(o | 1 << i) for i, o in enumerate(out))
     per_label = all(
         _unique_order(out, inn, sum(1 << index[v] for v in class_nodes))
         for class_nodes in g.label_classes.values()
@@ -352,8 +363,10 @@ def _descendants(out: Sequence[int], inn: Sequence[int]) -> list[int]:
 def _union(masks: Sequence[int], mask: int) -> int:
     """The OR of ``masks[j]`` over the set bits ``j`` of ``mask``."""
     union = 0
-    for j in _bits(mask):
-        union |= masks[j]
+    while mask:
+        low = mask & -mask
+        union |= masks[low.bit_length() - 1]
+        mask ^= low
     return union
 
 
@@ -491,21 +504,39 @@ def predecessors(g: LabeledDigraph, v: NodeId) -> frozenset[NodeId]:
 
 
 def topological_sort(g: LabeledDigraph) -> list[NodeId]:
-    """Kahn's method with smallest-id tie-break; raises CycleDetected."""
-    indeg = {v: len(ws) for v, ws in g.in_neighbors.items()}
-    ready = [v for v, d in indeg.items() if not d]
+    """Kahn's method with smallest-id tie-break; raises CycleDetected.
+    The order is cached on the graph (``g.topological_order``)."""
+    return list(g.topological_order)
+
+
+def _smallest_first_order(g: LabeledDigraph) -> tuple[NodeId, ...]:
+    """Kahn's algorithm on ``g.adjacency_masks``.  A node is ready once none
+    of its in-neighbours is left; the heap holds the ready nodes by their
+    rank in id order, so the smallest ready id comes next."""
+    _, out, inn = g.adjacency_masks
+    nodes = g.nodes
+    by_id = sorted(range(len(nodes)), key=nodes.__getitem__)
+    rank = [0] * len(nodes)
+    for r, i in enumerate(by_id):
+        rank[i] = r
+    ready = [rank[i] for i, m in enumerate(inn) if not m]
     heapq.heapify(ready)
+    left = (1 << len(nodes)) - 1
     order = []
     while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in g.out_neighbors[v]:
-            indeg[w] -= 1
-            if not indeg[w]:
-                heapq.heappush(ready, w)
-    if len(order) != len(indeg):
+        i = by_id[heapq.heappop(ready)]
+        order.append(nodes[i])
+        left ^= 1 << i
+        x = out[i]
+        while x:
+            low = x & -x
+            x ^= low
+            j = low.bit_length() - 1
+            if not inn[j] & left:
+                heapq.heappush(ready, rank[j])
+    if len(order) != len(nodes):
         raise CycleDetected("graph contains a directed cycle")
-    return order
+    return tuple(order)
 
 
 def transitive_closure(g: LabeledDigraph) -> LabeledDigraph:

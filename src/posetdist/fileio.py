@@ -11,11 +11,19 @@ and poset files use ``elements`` / ``relations`` instead (a relation
 ``node <id> <label>`` per line, then one ``<src> <dst>`` pair per line;
 ``#`` starts a comment.  Saving always canonicalizes (sorted keys, sorted
 node and edge lists), so load-then-save is byte-stable.
+
+A JSON file's two lists are checked whole, each check one pass in C over a
+list (:func:`_checked_whole`).  Only a file that fails one of them, or has
+an id or label that is not a string, is walked entry by entry
+(:func:`_walk_entries`); the walk reads ids, labels and endpoints through
+``str()`` and raises a :class:`ParseError` naming the first bad entry.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Union
 
@@ -70,9 +78,48 @@ def _parse_json(text: str, path: PathLike, kind: str):
         if not isinstance(doc[key], list):
             raise ParseError(f"{key!r} must be a list", path=path, field=key)
 
+    items, entries = doc[node_key], doc[edge_key]
+    return _checked_whole(items, entries) or _walk_entries(
+        items, entries, path, node_key, edge_key
+    )
+
+
+_ID_LABEL = itemgetter("id", "label")
+
+
+def _checked_whole(items: list, entries: list):
+    """The nodes and pairs of two lists that pass every check of
+    :func:`_walk_entries` unchanged, each check one pass over a whole list;
+    None when any check fails or some id or label is not a string.  An
+    endpoint that is not a string never equals a string id, so
+    ``issuperset`` rejects it, or raises TypeError when it is unhashable."""
+    if set(map(type, items)) - {dict} or set(map(type, entries)) - {list}:
+        return None
+    if set(map(len, entries)) - {2}:
+        return None
+    try:
+        nodes = list(map(_ID_LABEL, items))
+    except KeyError:
+        return None
+    if set(map(type, chain.from_iterable(nodes))) - {str}:
+        return None
+    ids = set(map(itemgetter(0), nodes))
+    if len(ids) != len(nodes):
+        return None
+    try:
+        if not ids.issuperset(chain.from_iterable(entries)):
+            return None
+    except TypeError:
+        return None
+    return nodes, list(map(tuple, entries))
+
+
+def _walk_entries(items: list, entries: list, path: PathLike, node_key: str, edge_key: str):
+    """Entry by entry: raise on the first bad one, naming it in ``field``.
+    Ids, labels and endpoints are read through ``str()``."""
     nodes: list[tuple[str, str]] = []
     seen: set[str] = set()
-    for i, item in enumerate(doc[node_key]):
+    for i, item in enumerate(items):
         if not isinstance(item, dict) or "id" not in item or "label" not in item:
             raise ParseError(
                 "expected an object with id and label", path=path, field=f"{node_key}[{i}]"
@@ -86,7 +133,7 @@ def _parse_json(text: str, path: PathLike, kind: str):
         nodes.append((node_id, str(item["label"])))
 
     pairs: list[tuple[str, str]] = []
-    for i, item in enumerate(doc[edge_key]):
+    for i, item in enumerate(entries):
         if not isinstance(item, list) or len(item) != 2:
             raise ParseError(
                 "expected a [source, target] pair", path=path, field=f"{edge_key}[{i}]"

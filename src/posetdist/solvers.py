@@ -210,7 +210,10 @@ def _outcome(
 
 
 def dmces_bruteforce(
-    g: LabeledDigraph, g2: LabeledDigraph, *, node_cap: int = _BRUTE_NODE_CAP
+    g: LabeledDigraph | PosetDigraph,
+    g2: LabeledDigraph | PosetDigraph,
+    *,
+    node_cap: int = _BRUTE_NODE_CAP,
 ) -> DmcesOutcome:
     """Exhaustive search over every feasible solution, no pruning.
 
@@ -218,8 +221,10 @@ def dmces_bruteforce(
     ``g2`` with the same label; the best score wins, first-found on ties.
     This is the oracle the pruned solvers are validated against, so it
     stays deliberately naive; ``node_cap`` guards against accidental use
-    on large inputs.
+    on large inputs.  A :class:`PosetDigraph` is unwrapped, but no
+    structural guard runs: the oracle takes any labeled digraph.
     """
+    g, g2 = (p.graph if isinstance(p, PosetDigraph) else p for p in (g, g2))
     if len(g.nodes) > node_cap or len(g2.nodes) > node_cap:
         raise SizeCapExceeded(
             f"brute force capped at {node_cap} nodes "

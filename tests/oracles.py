@@ -33,6 +33,26 @@ def perm_isomorphic(g: LabeledDigraph, g2: LabeledDigraph) -> bool:
     return False
 
 
+def labeled_digraph_by_loop(nodes, node_labels, edges):
+    """What ``LabeledDigraph(nodes, node_labels, edges)`` holds, built edge
+    by edge: ``(nodes, labels, edges)`` with duplicate edges dropped after
+    their first occurrence.  Raises what the constructor raises, with the
+    same message: ValueError on a duplicate node id, KeyError on a missing
+    label, ValueError naming the first edge with an undeclared endpoint,
+    and the unpacking error of the first edge that is no pair."""
+    node_tup = tuple(nodes)
+    if len(set(node_tup)) != len(node_tup):
+        raise ValueError("duplicate node ids")
+    labels = {v: node_labels[v] for v in node_tup}
+    kept = []
+    for u, v in edges:
+        if u not in node_tup or v not in node_tup:
+            raise ValueError(f"edge ({u!r}, {v!r}) references an undeclared node")
+        if (u, v) not in kept:
+            kept.append((u, v))
+    return node_tup, labels, tuple(kept)
+
+
 def _nx_digraph(g: LabeledDigraph) -> nx.DiGraph:
     nxg = nx.DiGraph()
     nxg.add_nodes_from(g.nodes)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import posetdist.core as core_module
 from posetdist import (
     AntisymmetryViolation,
     CycleDetected,
@@ -37,6 +38,7 @@ from oracles import (
     antisymmetry_pair,
     bfs_closure_edges,
     closure_by_networkx,
+    labeled_digraph_by_loop,
     line_graph_by_networkx,
     reduction_by_networkx,
     report_by_networkx,
@@ -108,6 +110,39 @@ class TestLabeledDigraph:
             (("a", "b"), ("b", "c"), ("a", "b")),
         )
         assert g.edges == (("a", "b"), ("b", "c"))
+
+    def test_the_first_bad_edge_is_named(self):
+        labels = {"a": "x", "b": "x"}
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            LabeledDigraph(("a", "b"), labels, (("a", "b"), ("a", "b", "a"), ("a", "zz")))
+        with pytest.raises(ValueError, match=r"^edge \('a', 'zz'\) references"):
+            LabeledDigraph(("a", "b"), labels, (("a", "b"), ("a", "zz"), ("a", "b", "a")))
+
+    @given(st.data())
+    def test_matches_the_edge_by_edge_build(self, data):
+        ids = data.draw(st.lists(st.sampled_from("abcdef"), unique=True, max_size=5))
+        labels = {v: "x" for v in ids}
+        edges = []
+        if ids:
+            node = st.sampled_from(ids)
+            edges = data.draw(st.lists(st.tuples(node, node), max_size=12))  # repeats too
+        # up to two bad edges anywhere: an undeclared end "zz", or no pair
+        end = st.sampled_from(ids + ["zz"])
+        bad = st.one_of(
+            st.tuples(end, st.just("zz")), st.tuples(end), st.tuples(end, end, end)
+        )
+        for edge in data.draw(st.lists(bad, max_size=2)):
+            edges.insert(data.draw(st.integers(0, len(edges))), edge)
+        try:
+            expected = labeled_digraph_by_loop(ids, labels, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                LabeledDigraph(ids, labels, edges)
+            assert str(got.value) == str(exc)
+            return
+        g = LabeledDigraph(ids, labels, iter(edges))
+        assert (g.nodes, g.node_labels, g.edges) == expected
+        assert all(type(e) is tuple for e in g.edges)
 
     def test_adjacency_maps(self):
         g = diamond_graph()
@@ -424,6 +459,26 @@ class TestOrderUtilities:
     @given(shuffled_dags())
     def test_topological_sort_matches_networkx(self, g):
         assert topological_sort(g) == topological_order_by_networkx(g)
+
+    def test_order_is_computed_once_per_graph(self, monkeypatch):
+        passes = []
+        kahn = core_module._smallest_first_order
+        monkeypatch.setattr(
+            core_module, "_smallest_first_order", lambda g: passes.append(g) or kahn(g)
+        )
+        g = dag_from(diamond_graph())
+        first = topological_sort(g)
+        first.reverse()  # the caller's list is its own
+        assert topological_sort(g) == topological_order_by_networkx(g)
+        assert g.topological_order == tuple(topological_order_by_networkx(g))
+        assert passes == [g]
+
+    def test_cycle_detected_on_every_call(self):
+        g = triangle("cyclic")
+        for _ in range(3):
+            with pytest.raises(CycleDetected, match="^graph contains a directed cycle$"):
+                topological_sort(g)
+        assert "topological_order" not in vars(g)
 
     def test_cycle_detected(self):
         with pytest.raises(CycleDetected):

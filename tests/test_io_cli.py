@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import posetdist.fileio as fileio
 from posetdist import (
     LabeledDigraph,
     ParseError,
@@ -203,6 +206,123 @@ class TestParseErrors:
         path = write(tmp_path / "broken.json", "{")
         with pytest.raises(ParseError, match="broken.json"):
             load_graph(path)
+
+
+def entries_doc(node_key: str, edge_key: str, nodes: list, edges: list) -> str:
+    return json.dumps({node_key: nodes, edge_key: edges}, indent=2)
+
+
+GOOD_NODES = [{"id": f"n{i}", "label": "ab"[i % 2]} for i in range(6)]
+GOOD_EDGES = [["n0", "n1"], ["n1", "n2"], ["n0", "n2"], ["n2", "n3"], ["n3", "n4"], ["n4", "n5"]]
+
+
+@pytest.mark.parametrize(
+    "load, node_key, edge_key",
+    [(load_graph, "nodes", "edges"), (load_poset, "elements", "relations")],
+    ids=["graph", "poset"],
+)
+class TestEntriesPastTheFirst:
+    """A bad entry deep in a list is named by its own index, in graph and
+    poset files alike, and the message is the one the entry walk gives."""
+
+    def check(self, tmp_path, load, text, field, message):
+        path = write(tmp_path / "f.json", text)
+        with pytest.raises(ParseError) as got:
+            load(path)
+        assert got.value.field == field
+        assert str(got.value) == f"{path}: field {field}: {message}"
+
+    def test_duplicate_node_id(self, tmp_path, load, node_key, edge_key):
+        nodes = GOOD_NODES[:5] + [{"id": "n2", "label": "a"}]
+        text = entries_doc(node_key, edge_key, nodes, GOOD_EDGES[:2])
+        self.check(tmp_path, load, text, f"{node_key}[5]", "duplicate node id 'n2'")
+
+    def test_missing_label(self, tmp_path, load, node_key, edge_key):
+        nodes = [dict(n) for n in GOOD_NODES]
+        del nodes[4]["label"]
+        text = entries_doc(node_key, edge_key, nodes, GOOD_EDGES)
+        self.check(
+            tmp_path, load, text, f"{node_key}[4]", "expected an object with id and label"
+        )
+
+    def test_undeclared_endpoint(self, tmp_path, load, node_key, edge_key):
+        edges = GOOD_EDGES[:3] + [["n2", "zz"]] + GOOD_EDGES[3:]
+        text = entries_doc(node_key, edge_key, GOOD_NODES, edges)
+        self.check(tmp_path, load, text, f"{edge_key}[3]", "undeclared node id 'zz'")
+
+    def test_three_element_edge(self, tmp_path, load, node_key, edge_key):
+        edges = GOOD_EDGES[:3] + [["n2", "n3", "n4"]] + GOOD_EDGES[3:]
+        text = entries_doc(node_key, edge_key, GOOD_NODES, edges)
+        self.check(
+            tmp_path, load, text, f"{edge_key}[3]", "expected a [source, target] pair"
+        )
+
+    def test_node_errors_come_before_edge_errors(self, tmp_path, load, node_key, edge_key):
+        nodes = GOOD_NODES + [{"id": "n0", "label": "a"}]
+        edges = [["zz", "n0"]] + GOOD_EDGES
+        text = entries_doc(node_key, edge_key, nodes, edges)
+        self.check(tmp_path, load, text, f"{node_key}[6]", "duplicate node id 'n0'")
+
+    def test_int_ids_and_labels_load_as_strings(self, tmp_path, load, node_key, edge_key):
+        nodes = [{"id": i, "label": i % 2} for i in range(3)] + [{"id": "3", "label": "1"}]
+        edges = [[0, 1], [1, "2"], [2, 3], ["0", 2], [0, 3], [1, 3]]
+        path = write(tmp_path / "f.json", entries_doc(node_key, edge_key, nodes, edges))
+        loaded = load(path)
+        g = loaded if isinstance(loaded, LabeledDigraph) else loaded.graph
+        assert g.nodes == ("0", "1", "2", "3")
+        assert g.node_labels == {"0": "0", "1": "1", "2": "0", "3": "1"}
+        assert set(g.edges) == {
+            ("0", "1"), ("1", "2"), ("2", "3"), ("0", "2"), ("0", "3"), ("1", "3")
+        }
+        assert all(type(v) is str for e in g.edges for v in e)
+
+
+@st.composite
+def entry_lists(draw):
+    """A ``nodes`` and an ``edges`` list, mostly well formed: node ``i``
+    has the id ``"n<i>"`` (or, in half the draws, any of ``"n<i>"``,
+    ``"<i>"`` and the int ``i``, with a string or int label), and edges
+    join declared ids.  At most one bad node (no label, no object, a
+    repeated id) and one bad edge (an undeclared, unhashable or int end, a
+    wrong length, no list) go in anywhere."""
+    n = draw(st.integers(0, 5))
+    ids = [f"n{i}" for i in range(n)]
+    labels = ["xy"[i % 2] for i in range(n)]
+    if draw(st.booleans()):
+        ids = [draw(st.sampled_from([f"n{i}", str(i), i])) for i in range(n)]
+        labels = [draw(st.sampled_from(["x", 0])) for _ in range(n)]
+    items = [{"id": v, "label": a} for v, a in zip(ids, labels)]
+    entries = []
+    if ids:
+        end = st.sampled_from(ids)
+        entries = draw(st.lists(st.lists(end, min_size=2, max_size=2), max_size=8))
+    repeat = {"id": ids[-1] if ids else "n0", "label": "x"}
+    bad_node = st.sampled_from([{"id": "n9"}, ["n0", "x"], repeat, repeat])
+    bad_end = st.sampled_from(["zz", ["n0"], 7])
+    bad_edge = st.one_of(
+        st.lists(st.one_of(st.sampled_from(ids or ["n0"]), bad_end), min_size=2, max_size=2),
+        st.lists(st.sampled_from(ids or ["n0"]), min_size=1, max_size=3),
+        st.just({"source": "n0"}),
+    )
+    for bad, target in ((bad_node, items), (bad_edge, entries)):
+        if draw(st.booleans()):
+            target.insert(draw(st.integers(0, len(target))), draw(bad))
+    return items, entries
+
+
+@settings(max_examples=300)
+@given(entry_lists())
+def test_whole_list_checks_accept_only_what_the_walk_returns_as_is(lists):
+    """Lists that pass the whole-list checks are ones the entry walk reads
+    without an error, and to the same nodes and pairs."""
+    items, entries = lists
+    whole = fileio._checked_whole(items, entries)
+    try:
+        walked = fileio._walk_entries(items, entries, "f.json", "nodes", "edges")
+    except ParseError:
+        assert whole is None
+        return
+    assert whole is None or whole == walked
 
 
 class TestLoadPoset:

@@ -368,6 +368,17 @@ class TestPosetDistance:
             assert dmces_via_clique(a, b).value == value
             assert d_e(a, b).dmces_value == value
 
+    def test_brute_takes_posets_through_solve(self):
+        p, q = self.shuffled_chains()
+        for a, b in ((p, p), (p, q), (q, p)):
+            outcome = metric_module.solve(a, b, "brute")
+            expected = d_e(a, b, solver="brute")
+            assert (outcome.value, outcome.witness) == (
+                expected.dmces_value,
+                expected.witness,
+            )
+            assert outcome.solver is Solver.BRUTE
+
     def test_chain_poset_deeper_than_the_recursion_limit(self):
         p = PosetDigraph(deep_chain_closure())
         r = poset_distance(p, p)
