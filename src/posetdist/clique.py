@@ -36,6 +36,15 @@ big-integer operations per vertex.
   pass over the edges, which ORs the vertex masks of the edges out of
   and into every node, gives every class.
 
+:func:`max_clique` is coloring branch and bound on those masks, with the
+vertices relabelled by degree.  At every branch point it colors the
+candidates greedily into independent classes, one bitmask per class, in
+the bit-parallel way of BBMC (San Segundo, Rodriguez-Losada & Jimenez,
+2011), and keeps only the classes whose color exceeds the floor: the
+incumbent's size less the size of the clique being extended.  A clique
+drawn from the classes at or below the floor cannot beat the incumbent.
+Its witness is the lexicographically smallest maximum clique.
+
 The clique route's witness is the node map that the endpoints of the
 clique's edge pairs define, and it passes the check every solver's does
 (``solvers._outcome``, linear in the graph sizes): injective,
@@ -219,9 +228,14 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
 
     The search runs on the vertices relabelled by non-increasing degree
     (ties by index), the initial order of Tomita-style coloring branch and
-    bound.  Candidates are greedily colored at every branch point; a partial
-    clique extends only through vertices whose color class count can still
-    beat the incumbent, and branching works down from the highest color.
+    bound.  At every branch point the candidates are greedily colored into
+    independent classes, one bitmask each, in the bit-parallel way of BBMC
+    (San Segundo et al., 2011; see :func:`_color_classes`).  ``nadj``, the
+    complements of the closed neighbourhoods that the coloring reads, is
+    built once here and serves the size phase and every yes/no search of
+    the witness walk.  A partial clique extends only through the classes
+    whose color exceeds the floor, the incumbent's size less its own (see
+    :func:`_search`), and branching works down from the highest color.
     The size phase starts from a greedy clique as its incumbent, so a graph
     whose greedy clique meets the root color bound needs no branching.
 
@@ -241,10 +255,12 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
     pos = [0] * n
     for p, v in enumerate(order):
         pos[v] = p
+    full = (1 << n) - 1
+    nadj = tuple([full ^ mask ^ 1 << p for p, mask in enumerate(radj)])
 
-    need, known = _search(radj, (1 << n) - 1, _greedy_clique(radj), n)
+    need, known = _search(radj, nadj, full, _greedy_clique(radj), n)
     witness = []
-    cand = (1 << n) - 1
+    cand = full
     for v in range(n):
         if not need:
             break
@@ -253,7 +269,7 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
         if not cand & bit:
             continue
         if not known & bit:
-            found, rest = _search(radj, cand & radj[p], (need - 2, 0), need - 1)
+            found, rest = _search(radj, nadj, cand & radj[p], (need - 2, 0), need - 1)
             if found < need - 1:
                 cand &= ~bit
                 continue
@@ -289,52 +305,82 @@ def _greedy_clique(adj: tuple[int, ...]) -> tuple[int, int]:
     return size, clique
 
 
-def _color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
-    """Greedy coloring of the candidate set; returns (vertex, color) in
-    coloring order.  Any clique inside ``cand`` has at most max-color
-    vertices, which is the branch-and-bound upper bound."""
-    order: list[tuple[int, int]] = []
-    left = cand
+def _color_classes(
+    nadj: tuple[int, ...], cand: int, floor: int
+) -> tuple[int, list[int]]:
+    """Greedy coloring of the candidate set ``cand``, as (top, classes).
+
+    Color ``c`` is an independent set of the candidates that colors
+    ``1 .. c-1`` left: it takes the lowest of them, keeps only those
+    outside its closed neighbourhood (``nadj[v]`` is the complement of the
+    closed neighbourhood of ``v``), takes the lowest of those, and so on.
+    ``top`` is the number of colors, so no clique inside ``cand`` has more
+    than ``top`` vertices.  Every color is built, but ``classes`` holds
+    only the masks of the colors above ``floor``, in color order: a clique
+    drawn from the lower ones alone has at most ``floor`` vertices."""
+    classes = []
     color = 0
-    while left:
+    while cand:
         color += 1
-        avail = left
+        avail, cls = cand, 0
         while avail:
-            v = (avail & -avail).bit_length() - 1
-            avail &= ~adj[v] & (avail ^ (avail & -avail))
-            left &= ~(1 << v)
-            order.append((v, color))
-    return order
+            low = avail & -avail
+            cls |= low
+            avail &= nadj[low.bit_length() - 1]
+        cand ^= cls
+        if color > floor:
+            classes.append(cls)
+    return color, classes
 
 
 def _search(
-    adj: tuple[int, ...], cand: int, incumbent: tuple[int, int], stop: int
+    adj: tuple[int, ...],
+    nadj: tuple[int, ...],
+    cand: int,
+    incumbent: tuple[int, int],
+    stop: int,
 ) -> tuple[int, int]:
     """The largest clique inside ``cand`` when it has more vertices than
     the ``incumbent`` (size, mask), as (size, mask); else the incumbent.
-    Returns as soon as it holds a clique of ``stop`` vertices.
+    Returns as soon as it holds a clique of ``stop`` vertices.  ``nadj``
+    holds the complements of the closed neighbourhoods of ``adj``.
 
     Branch and bound on an explicit stack, so the clique size is not capped
     by the interpreter's recursion limit.  Each frame is ``[clique, size,
-    cand, order]``: ``order`` is the greedy coloring of the frame's
-    candidates, branched on from its last entry (the highest color) until
-    ``size + color`` cannot beat the incumbent; ``cand`` drops each vertex
-    once its branch is done."""
+    cand, top, classes]``: ``classes`` are the color classes of the frame's
+    candidates (see :func:`_color_classes`) whose color exceeded the floor
+    ``best - size`` when the frame was made, and ``top`` is the color of
+    the last class, so ``size + top`` bounds every clique the frame can
+    still reach.  The frame branches on the highest vertex of its last
+    class; when that class runs out, ``top`` drops by one.  The frame is
+    popped as soon as ``size + top`` cannot beat the incumbent, which holds
+    at the latest when its classes run out: ``top`` is then at most the
+    floor, or 0 when the floor was negative and a larger clique has since
+    been found.  ``cand`` drops each vertex once its branch is done."""
     best, best_clique = incumbent
     if not cand and best < 0:
         # an empty ``cand`` makes the root a leaf: the empty clique
         best, best_clique = 0, 0
-    stack = [[0, 0, cand, _color_order(adj, cand)]]
+    top, classes = _color_classes(nadj, cand, best)
+    stack = [[0, 0, cand, top, classes]]
     while stack:
-        clique, size, cand, order = frame = stack[-1]
-        if not order or size + order[-1][1] <= best:
+        clique, size, cand, top, classes = frame = stack[-1]
+        if size + top <= best:
             stack.pop()
             continue
-        v = order.pop()[0]
-        frame[2] = cand & ~(1 << v)
-        clique, size, cand = clique | 1 << v, size + 1, cand & adj[v]
+        cls = classes[-1]
+        v = cls.bit_length() - 1
+        bit = 1 << v
+        if cls == bit:
+            classes.pop()
+            frame[3] = top - 1
+        else:
+            classes[-1] = cls ^ bit
+        frame[2] = cand ^ bit
+        clique, size, cand = clique | bit, size + 1, cand & adj[v]
         if cand:
-            stack.append([clique, size, cand, _color_order(adj, cand)])
+            top, classes = _color_classes(nadj, cand, best - size)
+            stack.append([clique, size, cand, top, classes])
         elif size > best:
             best, best_clique = size, clique
             if best >= stop:

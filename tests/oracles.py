@@ -128,6 +128,26 @@ def _induces_chain(nxg: nx.DiGraph, class_nodes) -> bool:
     return degrees_ok and nx.is_weakly_connected(red)
 
 
+def color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
+    """Greedy coloring of the vertices in ``cand`` on the neighbour masks
+    ``adj``, as a list of (vertex, color) in coloring order: color ``c``
+    takes the lowest vertex not yet colored, then every higher one with no
+    neighbour among those color ``c`` holds so far.  The clique search's
+    class masks must reproduce it color for color."""
+    order: list[tuple[int, int]] = []
+    left = cand
+    color = 0
+    while left:
+        color += 1
+        avail = left
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            avail &= ~adj[v] & (avail ^ (avail & -avail))
+            left &= ~(1 << v)
+            order.append((v, color))
+    return order
+
+
 def subset_max_clique(ug: UndirectedGraph) -> frozenset:
     """The lexicographically smallest maximum clique in node order: the
     first clique met checking every node subset, biggest first, each size

@@ -34,7 +34,7 @@ from conftest import (
     seeded_graphs,
     undirected_graphs,
 )
-from oracles import compatibility_edges_by_definition, subset_max_clique
+from oracles import color_order, compatibility_edges_by_definition, subset_max_clique
 
 
 def _quiet_eld(g):
@@ -236,6 +236,84 @@ class TestMaxClique:
             for j in range(len(g.nodes))
         )
         assert not any(adj[i] >> i & 1 for i in range(len(g.nodes)))
+
+
+def _complements(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """The masks of the vertices outside each closed neighbourhood."""
+    full = (1 << len(adj)) - 1
+    return tuple(full & ~(mask | 1 << v) for v, mask in enumerate(adj))
+
+
+def _search(g: UndirectedGraph, cand: int, incumbent: tuple, stop: int) -> tuple:
+    adj = g.adjacency
+    return clique_module._search(adj, _complements(adj), cand, incumbent, stop)
+
+
+# a 5-cycle: no triangle, and three colors
+FIVE_CYCLE = UndirectedGraph(range(5), ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+
+
+class TestColorClasses:
+    @given(undirected_graphs(), st.data())
+    def test_classes_are_the_colors_above_the_floor(self, g, data):
+        adj, n = g.adjacency, len(g.nodes)
+        cand = data.draw(st.integers(0, (1 << n) - 1))
+        floor = data.draw(st.integers(-1, n + 1))
+        top, classes = clique_module._color_classes(_complements(adj), cand, floor)
+        order = color_order(adj, cand)
+        colors = max((color for _, color in order), default=0)
+        by_color = [
+            sum(1 << v for v, c in order if c == color) for color in range(1, colors + 1)
+        ]
+        assert top == colors
+        # the colors above the floor in color order, and nothing at or below it
+        assert classes == by_color[max(floor, 0) :]
+        # disjoint independent sets of candidates, none of them empty
+        seen = 0
+        for cls in classes:
+            assert cls and not cls & seen and not cls & ~cand
+            assert not any(adj[v] & cls for v in range(n) if cls >> v & 1)
+            seen |= cls
+
+
+class TestSearch:
+    @pytest.mark.parametrize("mask", [0b11, 0, 0b10101], ids=["edge", "empty", "foreign"])
+    def test_an_unbeaten_incumbent_comes_back_unchanged(self, mask):
+        # the mask is returned as given, even when it is no clique of cand
+        assert _search(FIVE_CYCLE, 0b11111, (2, mask), 5) == (2, mask)
+
+    @given(undirected_graphs(), st.data())
+    def test_incumbent_of_the_largest_size_comes_back_unchanged(self, g, data):
+        n = len(g.nodes)
+        cand = data.draw(st.integers(0, (1 << n) - 1))
+        inside = UndirectedGraph(
+            [v for v in g.nodes if cand >> v & 1],
+            [(a, b) for a, b in g.edges if cand >> a & 1 and cand >> b & 1],
+        )
+        largest = len(subset_max_clique(inside))
+        foreign = 1 << n  # no vertex of g: the search must not touch it
+        assert _search(g, cand, (largest, foreign), n) == (largest, foreign)
+        size, clique = _search(g, cand, (largest - 1, foreign), n)
+        assert size == largest == clique.bit_count()
+        assert not clique & ~cand
+        assert all(
+            not clique & ~(g.adjacency[v] | 1 << v) for v in range(n) if clique >> v & 1
+        )
+
+    def test_returns_as_soon_as_it_holds_stop_vertices(self):
+        # the triangle {0, 2, 3} is the largest clique, but the search
+        # branches on 4 first (the highest vertex of the top color class
+        # {3, 4}) and meets the edge {2, 4} at its first leaf
+        g = UndirectedGraph(range(5), ((0, 2), (0, 3), (1, 4), (2, 3), (2, 4)))
+        assert _search(g, 0b11111, (-1, 0), 2) == (2, 0b10100)
+        assert _search(g, 0b11111, (-1, 0), 3) == (3, 0b01101)
+
+    @pytest.mark.parametrize(
+        "g", [UndirectedGraph((), ()), FIVE_CYCLE], ids=["no-vertex", "five-cycle"]
+    )
+    def test_no_candidates_and_no_incumbent_give_the_empty_clique(self, g):
+        assert _search(g, 0, (-1, 0), len(g.nodes)) == (0, 0)
+        assert _search(g, 0, (1, 0b1), len(g.nodes)) == (1, 0b1)
 
 
 class TestMcis:
