@@ -8,7 +8,10 @@ on any two graphs of this package.  :func:`dmces_via_clique` searches the
 same compatibility graph as ``mcis(L(G), L(G'))``, vertex for vertex and
 in the same order, but builds it straight from the two source digraphs
 and never builds an extended line digraph; the winning edge pairs are
-read back as a node matching on the original graphs.
+read back as a node matching on the original graphs.  ``mcis`` on two
+extended line digraphs that carry their simple, oriented sources runs
+that same core on the sources (:func:`_edge_pair_clique`) and reads no
+arc of either line digraph.
 
 The compatibility graph has one vertex per label-matched pair (n, n') whose
 self-loops agree (both absent, or both present with equal labels).  It
@@ -51,7 +54,9 @@ clique's edge pairs define, and it passes the check every solver's does
 label-preserving, and realizing as many edges as the clique has vertices.
 Such a map keeps every endpoint equality, hence every ELD node label and
 every HT/TT/HH relation among the edges it realizes, so this implies the
-quadratic isomorphism check that :func:`mcis` runs.
+quadratic isomorphism check (:func:`_check_isomorphism`) that
+:func:`mcis` runs on every other pair of graphs.  The same check covers
+``mcis`` on two sourced line digraphs, and so every ``d_n`` witness there.
 """
 
 from __future__ import annotations
@@ -60,8 +65,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable
 
-from .core import LabeledDigraph, PosetDigraph, UndirectedGraph, _bits
+from .core import Edge, LabeledDigraph, PosetDigraph, UndirectedGraph, _bits
 from .isomorphism import MISSING, require_same_kind
+from .line_digraph import ExtendedLineDigraph
 from .solvers import DmcesOutcome, NodeMatching, Solver, _outcome, _require
 
 
@@ -216,10 +222,6 @@ def _edge_classes(g: LabeledDigraph, own: dict, full: int) -> dict:
         )
         for (u, v), mask in own.items()
     }
-
-
-def _agrees(ea: dict, eb: dict, n, m, n2, m2) -> bool:
-    return ea.get((n, m), MISSING) == eb.get((n2, m2), MISSING)
 
 
 def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
@@ -390,10 +392,25 @@ def _search(
 
 def mcis(g, g2) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:
     """Maximum common node-induced subgraph size of two graphs of the same
-    type, via the maximum clique of their compatibility graph.  The
-    returned pairs are checked to be an isomorphism of the subgraphs they
-    induce before reporting.  Raises :class:`KindMismatch` on two graphs
-    of different types."""
+    type, via the maximum clique of their compatibility graph, with the
+    clique's pairs.  Raises :class:`KindMismatch` on two graphs of
+    different types.
+
+    Two extended line digraphs that both carry their (simple, oriented)
+    source take the clique route's core on the sources (see
+    :func:`_edge_pair_clique`): the same compatibility graph, vertex for
+    vertex, so the same pairs, and the witness check of every solver,
+    which implies the isomorphism check (see the module docstring).  Any
+    other pair is searched through :func:`compatibility_graph`, and its
+    pairs are checked to be an isomorphism of the subgraphs they induce
+    before reporting."""
+    if (
+        type(g) is type(g2) is ExtendedLineDigraph
+        and g.source is not None
+        and g2.source is not None
+    ):
+        pairs, _ = _edge_pair_clique(g.source, g2.source)
+        return len(pairs), pairs
     comp = compatibility_graph(g, g2)
     pairs = frozenset(comp.pair(i) for i in max_clique(comp))
     _check_isomorphism(g, g2, pairs)
@@ -409,9 +426,33 @@ def _check_isomorphism(g, g2, pairs) -> None:
     if not (
         injective
         and all(labels[n] == labels2[n2] for n, n2 in pairs)
-        and all(_agrees(ea, eb, n, m, n2, m2) for n, n2 in pairs for m, m2 in pairs)
+        and all(
+            ea.get((n, m), MISSING) == eb.get((n2, m2), MISSING)
+            for n, n2 in pairs
+            for m, m2 in pairs
+        )
     ):
         raise RuntimeError("internal error: clique does not induce isomorphic subgraphs")
+
+
+def _edge_pair_clique(
+    g: LabeledDigraph, g2: LabeledDigraph
+) -> tuple[frozenset[tuple[Edge, Edge]], DmcesOutcome]:
+    """The clique route's core on two simple, oriented digraphs: the
+    maximum clique of :func:`_edge_pair_graph`, as its set of edge pairs,
+    and the outcome of the node map that their endpoints define (checked
+    by ``_outcome``).  The map is consistent and injective for any clique,
+    since shared endpoints on one side force the same sharing on the
+    other; a clique whose endpoints disagree is an internal error."""
+    comp = _edge_pair_graph(g, g2)
+    pairs = frozenset(comp.pair(i) for i in max_clique(comp))
+    node_map: dict[str, str] = {}
+    for (u, v), (u2, v2) in pairs:
+        for s, t in ((u, u2), (v, v2)):
+            if node_map.setdefault(s, t) != t:
+                raise RuntimeError("internal error: clique endpoints disagree")
+    outcome = _outcome(g, g2, len(pairs), NodeMatching(node_map.items()), Solver.CLIQUE)
+    return pairs, outcome
 
 
 def dmces_via_clique(
@@ -423,16 +464,7 @@ def dmces_via_clique(
     is the maximum clique size of the compatibility graph of the two
     extended line digraphs, built from ``g`` and ``g2`` directly; the
     matched source-edge pairs determine the node matching by reading off
-    endpoints (consistent and injective for any clique, since shared
-    endpoints on one side force the same sharing on the other).  The
-    witness is checked as every solver's is (see the module docstring)."""
+    endpoints.  The witness is checked as every solver's is (see the
+    module docstring and :func:`_edge_pair_clique`)."""
     ga, gb = _require(g, g2)
-    comp = _edge_pair_graph(ga, gb)
-    clique = max_clique(comp)
-    node_map: dict[str, str] = {}
-    for i in clique:
-        (u, v), (u2, v2) = comp.pair(i)
-        for s, t in ((u, u2), (v, v2)):
-            if node_map.setdefault(s, t) != t:
-                raise RuntimeError("internal error: clique endpoints disagree")
-    return _outcome(ga, gb, len(clique), NodeMatching(node_map.items()), Solver.CLIQUE)
+    return _edge_pair_clique(ga, gb)[1]

@@ -17,7 +17,7 @@ isomorphism guarantees, hence the warning.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -34,13 +34,37 @@ HH = "HH"
 class ExtendedLineDigraph:
     """The dual graph: nodes are source edges, edges carry HT/TT/HH labels.
 
-    ``nodes`` preserves the source edge order; ``labeled_edges`` holds
-    (e, f, relationship) triples with TT and HH stored in both directions.
+    ``nodes`` preserves the source edge order.  The arcs are a function of
+    ``nodes`` alone, so they are not a field: ``labeled_edges`` builds the
+    (e, f, relationship) triples, TT and HH stored in both directions, on
+    first read.  ``source`` is the graph
+    whose edges are ``nodes`` when that graph is simple and oriented, else
+    None; it takes no part in equality either, and lets :func:`mcis`
+    search two line digraphs through their sources.
     """
 
     nodes: tuple[Edge, ...]
     node_labels: dict[Edge, tuple[str, str]]
-    labeled_edges: tuple[tuple[Edge, Edge, str], ...]
+    source: LabeledDigraph | None = field(
+        default=None, compare=False, repr=False, kw_only=True
+    )
+
+    @cached_property
+    def labeled_edges(self) -> tuple[tuple[Edge, Edge, str], ...]:
+        # Only edges that share an endpoint are related, so each edge meets
+        # the later edges incident to its two endpoints, in node order.
+        edges = self.nodes
+        incident: dict[str, list[int]] = {}
+        for j, (u, v) in enumerate(edges):
+            incident.setdefault(u, []).append(j)
+            incident.setdefault(v, []).append(j)
+        out: list[tuple[Edge, Edge, str]] = []
+        for i, e in enumerate(edges):
+            later = {j for j in incident[e[0]] if j > i}
+            later.update(j for j in incident[e[1]] if j > i)
+            for j in sorted(later):
+                out.extend(_relate(e, edges[j]))
+        return tuple(out)
 
     @cached_property
     def edge_label_map(self) -> dict[tuple[Edge, Edge], str]:
@@ -55,12 +79,14 @@ class ExtendedLineDigraph:
 
 
 def extended_line_digraph(g: LabeledDigraph) -> ExtendedLineDigraph:
-    """Build the extended line digraph of ``g``.
+    """Build the extended line digraph of ``g``; its arcs are built when
+    first read (see :class:`ExtendedLineDigraph`).
 
     Raises :class:`NotSimple` on self-loops; warns when ``g`` is not
     oriented (the construction still goes through, but 2-cycles produce
     HT edges in both directions and the usual uniqueness guarantees no
-    longer apply).
+    longer apply).  The result carries ``g`` as its ``source`` when ``g``
+    is oriented.
     """
     report = g.report
     if not report.is_simple:
@@ -73,20 +99,9 @@ def extended_line_digraph(g: LabeledDigraph) -> ExtendedLineDigraph:
     labels = {
         (u, v): (g.node_labels[u], g.node_labels[v]) for u, v in g.edges
     }
-    # Only edges that share an endpoint are related, so each edge meets the
-    # later edges incident to its two endpoints, in source edge order.
-    edges = g.edges
-    incident: dict[str, list[int]] = {v: [] for v in g.nodes}
-    for j, (u, v) in enumerate(edges):
-        incident[u].append(j)
-        incident[v].append(j)
-    out: list[tuple[Edge, Edge, str]] = []
-    for i, e in enumerate(edges):
-        later = {j for j in incident[e[0]] if j > i}
-        later.update(j for j in incident[e[1]] if j > i)
-        for j in sorted(later):
-            out.extend(_relate(e, edges[j]))
-    return ExtendedLineDigraph(edges, labels, tuple(out))
+    return ExtendedLineDigraph(
+        g.edges, labels, source=g if report.is_oriented else None
+    )
 
 
 def _relate(e: Edge, f: Edge) -> Iterable[tuple[Edge, Edge, str]]:

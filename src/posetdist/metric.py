@@ -146,7 +146,11 @@ def d_n(g, g2) -> Fraction:
     subgraph size over the larger node count.  Accepts any labeled
     digraphs, including extended line digraphs (edge labels respected).
     Two empty graphs are at distance 0.  Raises :class:`KindMismatch` on
-    two graphs of different types, as :func:`mcis` does."""
+    two graphs of different types, as :func:`mcis` does.  On two extended
+    line digraphs of simple, oriented graphs ``G`` and ``G'`` it runs the
+    clique route's core on ``G`` and ``G'`` (see :func:`mcis`), so
+    ``d_n(L(G), L(G')) == d_e(G, G').distance`` holds by construction on
+    every pair that ``d_e`` accepts."""
     size, _ = mcis(g, g2)
     n = max(len(g.nodes), len(g2.nodes))
     return 1 - Fraction(size, n) if n else Fraction(0)

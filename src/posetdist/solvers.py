@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable
 
 from .core import LabeledDigraph, PosetDigraph, _bits, topological_sort
@@ -118,15 +120,19 @@ def _check_matching(g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching) ->
             raise InvalidMatching(f"label mismatch on pair ({v!r}, {w!r})")
 
 
+_UNMATCHED = object()
+
+
 def score(g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching) -> int:
     """Number of edges (v1, v2) of ``g`` whose image (phi(v1), phi(v2)) is
     an edge of ``g2``."""
     _check_matching(g, g2, phi)
-    m = phi.mapping
-    edge_set2 = g2.edge_set
-    return sum(
-        1 for a, b in g.edges if a in m and b in m and (m[a], m[b]) in edge_set2
-    )
+    # the image of every edge, an unmapped end read as _UNMATCHED, counted
+    # in C-level passes: no pair with an _UNMATCHED end is an edge of g2
+    image, edges = phi.mapping.get, g.edges
+    tails = map(image, map(itemgetter(0), edges), repeat(_UNMATCHED))
+    heads = map(image, map(itemgetter(1), edges), repeat(_UNMATCHED))
+    return sum(map(g2.edge_set.__contains__, zip(tails, heads)))
 
 
 def matched_edges(

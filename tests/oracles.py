@@ -165,6 +165,25 @@ def subset_max_clique(ug: UndirectedGraph) -> frozenset:
 _ABSENT = object()
 
 
+def arcs_by_definition(g: LabeledDigraph) -> set:
+    """The arcs of the extended line digraph of ``g``: every ordered pair
+    of distinct edges, with each relationship that holds between them."""
+    arcs = set()
+    for e in g.edges:
+        for f in g.edges:
+            if e != f:
+                arcs.update(
+                    (e, f, rel)
+                    for rel, holds in (
+                        ("HT", e[1] == f[0]),
+                        ("TT", e[0] == f[0]),
+                        ("HH", e[1] == f[1]),
+                    )
+                    if holds
+                )
+    return arcs
+
+
 def compatibility_edges_by_definition(g, g2) -> tuple[list, list]:
     """The compatibility graph of two graphs, one vertex pair at a time.
 

@@ -358,8 +358,12 @@ class TestMcis:
         [
             (lambda g: g, lambda g: mcis(g, g)),
             (extended_line_digraph, lambda g: dmces_via_clique(g, g)),
+            (
+                extended_line_digraph,
+                lambda g: mcis(extended_line_digraph(g), extended_line_digraph(g)),
+            ),
         ],
-        ids=["mcis", "dmces_via_clique"],
+        ids=["mcis", "dmces_via_clique", "sourced-eld-mcis"],
     )
     @pytest.mark.parametrize(
         "bad_pairs",
@@ -479,6 +483,76 @@ class TestEdgePairGraph:
             if getattr(module, "extended_line_digraph", None) is extended_line_digraph:
                 monkeypatch.setattr(module, "extended_line_digraph", refuse)
         assert dmces_via_clique(g, g2).value == expected
+
+
+def _generic_mcis(eld, eld2) -> tuple[int, frozenset]:
+    """The maximum clique of the generic compatibility graph, as pairs."""
+    comp = compatibility_graph(eld, eld2)
+    pairs = frozenset(comp.pair(i) for i in max_clique(comp))
+    return len(pairs), pairs
+
+
+def _refuse(*args):
+    raise AssertionError("this route must not run")
+
+
+class TestSourcedMcis:
+    """``mcis`` on two line digraphs of simple, oriented sources runs the
+    clique route's core on the sources."""
+
+    def _assert_equals_the_generic_search(self, g, g2):
+        eld, eld2 = extended_line_digraph(g), extended_line_digraph(g2)
+        assert eld.source is g and eld2.source is g2
+        got = mcis(eld, eld2)
+        assert got == _generic_mcis(eld, eld2)
+        clique_module._check_isomorphism(eld, eld2, got[1])
+
+    @given(seeded_graphs("wso", max_nodes=7), seeded_graphs("wso", max_nodes=7))
+    def test_equals_the_generic_search(self, g, g2):
+        self._assert_equals_the_generic_search(g, g2)
+
+    @pytest.mark.parametrize("seed", [0, 7, 21, 3_000_000])
+    @pytest.mark.parametrize("nodes, labels", [(8, 1), (12, 2), (16, 4)])
+    def test_equals_the_generic_search_on_seeded_pairs(self, nodes, labels, seed):
+        self._assert_equals_the_generic_search(
+            *seeded_pair("wso", nodes, labels, 0.3, seed)
+        )
+
+    def test_builds_no_arc_and_no_generic_graph(self, monkeypatch):
+        g, g2 = seeded_pair("wso", 10, 2, 0.45, 5)
+        eld, eld2 = extended_line_digraph(g), extended_line_digraph(g2)
+        expected = _generic_mcis(extended_line_digraph(g), extended_line_digraph(g2))
+        monkeypatch.setattr(clique_module, "compatibility_graph", _refuse)
+        monkeypatch.setattr(clique_module, "_check_isomorphism", _refuse)
+        assert mcis(eld, eld2) == expected
+        assert d_n(eld, eld2) == 1 - Fraction(expected[0], max(len(g.edges), len(g2.edges)))
+        assert "labeled_edges" not in vars(eld) and "labeled_edges" not in vars(eld2)
+
+    def test_a_non_oriented_source_warns_and_takes_the_generic_route(self, monkeypatch):
+        two_cycle = LabeledDigraph(
+            ("a", "b", "c"),
+            dict.fromkeys("abc", "x"),
+            (("a", "b"), ("b", "a"), ("b", "c")),
+        )
+        with pytest.warns(UserWarning, match="not oriented"):
+            eld = extended_line_digraph(two_cycle)
+        assert eld.source is None
+        oriented = extended_line_digraph(diamond_graph())
+        monkeypatch.setattr(clique_module, "_edge_pair_clique", _refuse)
+        assert mcis(eld, eld) == (3, frozenset((e, e) for e in two_cycle.edges))
+        # one sourced side is not enough
+        assert mcis(eld, oriented) == _generic_mcis(eld, oriented)
+        assert mcis(oriented, eld) == _generic_mcis(oriented, eld)
+
+    def test_mixed_with_a_labeled_digraph_is_a_kind_mismatch(self):
+        g = diamond_graph()
+        eld = extended_line_digraph(g)
+        message = "^cannot compare ExtendedLineDigraph with LabeledDigraph$"
+        for call in (mcis, d_n):
+            with pytest.raises(KindMismatch, match=message):
+                call(eld, g)
+            with pytest.raises(KindMismatch):
+                call(g, eld)
 
 
 class TestCliqueRoute:

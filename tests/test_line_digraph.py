@@ -9,6 +9,7 @@ from posetdist import (
     HH,
     HT,
     TT,
+    ExtendedLineDigraph,
     LabeledDigraph,
     NotSimple,
     eld_structure,
@@ -16,7 +17,8 @@ from posetdist import (
     find_isomorphism,
     structure_commutes,
 )
-from conftest import diamond_graph, seeded_graphs, star, triangle
+from conftest import diamond_graph, loopfree_digraphs, seeded_graphs, star, triangle
+from oracles import arcs_by_definition
 
 
 class TestDiamondExample:
@@ -140,3 +142,30 @@ class TestProperties:
     def test_eld_structure_drops_directions(self):
         s = eld_structure(extended_line_digraph(diamond_graph()))
         assert len(s.nodes) == 4 and len(s.edges) == 4
+
+
+class TestArcsOnFirstRead:
+    def test_no_arc_is_built_up_front(self):
+        eld = extended_line_digraph(diamond_graph())
+        assert "labeled_edges" not in vars(eld)
+        assert len(eld.labeled_edges) == 6
+        assert "labeled_edges" in vars(eld)
+
+    @given(loopfree_digraphs(max_nodes=5))
+    def test_arcs_match_the_definition(self, g):
+        # 2-cycles included: the arcs are read off the nodes alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eld = extended_line_digraph(g)
+        assert len(eld.labeled_edges) == len(set(eld.labeled_edges))
+        assert set(eld.labeled_edges) == arcs_by_definition(g)
+
+    def test_equal_to_the_line_digraph_of_a_copy(self):
+        g = diamond_graph()
+        copy = LabeledDigraph(tuple(g.nodes), dict(g.node_labels), tuple(g.edges))
+        eld, eld2 = extended_line_digraph(g), extended_line_digraph(copy)
+        assert eld.source is g and eld2.source is copy
+        eld.labeled_edges  # built on one side only
+        assert eld == eld2
+        # the source takes no part in equality
+        assert eld == ExtendedLineDigraph(eld.nodes, dict(eld.node_labels))
