@@ -11,8 +11,12 @@ transitive closure and reduction, poset construction, ancestors and line
 graphs) works on the graph's own adjacency, mostly as one out- and one
 in-neighbour bitmask per node; the package needs nothing beyond the
 standard library.  A graph caches what these routines derive from it: the
-masks, the structural report and the topological order.  Its constructor
-checks the whole edge list at once and loops only to name a bad edge.
+masks, the skip skeleton, the structural report and the topological order.
+The skip skeleton keeps, per node, only the out-neighbours that the
+closure test had to visit; on a transitively closed DAG every edge is a
+path in it, so the chain test and the topological order work on it
+instead of on every edge.  The constructor checks the whole edge list at
+once and loops only to name a bad edge.
 """
 
 from __future__ import annotations
@@ -117,6 +121,18 @@ class LabeledDigraph:
         per graph object and shared by validation and the order searches
         of :mod:`posetdist.solvers`, which only read it."""
         return _adjacency_masks(self)
+
+    @cached_property
+    def skeleton(self) -> tuple[int, ...] | None:
+        """Per node, the mask of the out-neighbours that the skip test of
+        :func:`_skip_skeleton` took, computed once per graph object.  None
+        unless the graph is oriented (so simple too) and passes that test,
+        that is, unless it is a transitively closed DAG; every edge of such
+        a graph is a path in its skeleton."""
+        _, out, inn = self.adjacency_masks
+        if any(a & b for a, b in zip(out, inn)):
+            return None
+        return _skip_skeleton(out)
 
     @cached_property
     def topological_order(self) -> tuple[NodeId, ...]:
@@ -291,30 +307,85 @@ def validate_properties(g: LabeledDigraph) -> PropertyReport:
       (a literal path and the closure of a path both qualify).
 
     Every flag is read off the graph's cached bitmasks,
-    ``g.adjacency_masks``.
+    ``g.adjacency_masks``, and its cached skip skeleton, ``g.skeleton``.
+    On an oriented graph the skip test decides closure exactly, and a
+    closed oriented graph is acyclic, so only graphs without a skeleton
+    need the full closure test or Kahn's algorithm.
     """
     index, out, inn = g.adjacency_masks
     n = len(index)
     everything = (1 << n) - 1
-    oriented = not any(a & b for a, b in zip(out, inn))
-    # per node, the out-masks of its out-neighbours must stay inside its
-    # own out-mask (or be the node itself); the first node that fails ends it
-    closed = all(not _union(out, o) & ~(o | 1 << i) for i, o in enumerate(out))
-    per_label = all(
-        _unique_order(out, inn, sum(1 << index[v] for v in class_nodes))
-        for class_nodes in g.label_classes.values()
-    )
+    skeleton = g.skeleton
+    oriented = skeleton is not None or not any(a & b for a, b in zip(out, inn))
+    classes = [sum(1 << index[v] for v in vs) for vs in g.label_classes.values()]
+    if skeleton is not None:
+        closed = acyclic = True
+        per_label = all(_is_chain(out, c) for c in classes)
+    else:
+        # the skip test found an oriented graph open; any other graph gets
+        # the full test: per node, the out-masks of its out-neighbours must
+        # stay inside its own out-mask (or be the node itself)
+        closed = not oriented and all(
+            not _union(out, o) & ~(o | 1 << i) for i, o in enumerate(out)
+        )
+        # a self-loop or a 2-cycle is a cycle
+        acyclic = oriented and len(_peel(out, inn, everything)[0]) == n
+        per_label = all(_unique_order(out, inn, c) for c in classes)
     return PropertyReport(
         is_weakly_connected=n <= 1
         or _reach([a | b for a, b in zip(out, inn)], 1) == everything,
         is_simple=not any(o >> i & 1 for i, o in enumerate(out)),
         is_oriented=oriented,
-        # Closure shortens any cycle to a 2-cycle or a self-loop, and
-        # orientation rules both out, so only the other graphs need Kahn.
-        is_acyclic=oriented and closed or len(_peel(out, inn, everything)[0]) == n,
+        is_acyclic=acyclic,
         is_transitively_closed=closed,
         per_label_path=per_label,
     )
+
+
+def _skip_skeleton(out: Sequence[int]) -> tuple[int, ...] | None:
+    """The skip test for transitive closure, and the skeleton it leaves.
+
+    For each node ``i``, walk its out-neighbours lowest bit first.  Each
+    neighbour ``j`` taken ORs ``out[j]`` into a union and drops ``out[j]``
+    from the neighbours left, so only the taken ones cost a step.  Node
+    ``i`` passes when the union lies inside ``out[i]`` plus ``i`` itself.
+    Returns the masks of the taken neighbours, or None at the first node
+    that fails.
+
+    A closed graph passes.  On a simple, oriented graph where every node
+    passes, the graph is closed, by induction on the out-degree: the claim
+    for ``i`` is that ``out[j]`` lies inside ``out[i]`` plus ``i`` for
+    every ``j`` in ``out[i]``.  A taken ``k`` passes that by the test, and
+    since it has no self-loop and no edge back to ``i``, ``out[k]`` lies
+    inside ``out[i]`` minus ``k``, so the claim holds for ``k``.  A skipped
+    ``j`` lies in ``out[k]`` for some taken ``k``, so ``out[j]`` lies
+    inside ``out[k]`` plus ``k``, inside ``out[i]``.  The same induction
+    makes every edge a path of taken edges, in any walk order.  With a
+    self-loop or a 2-cycle an open graph can pass, so callers test
+    orientation first.
+    """
+    skeleton = []
+    for i, o in enumerate(out):
+        left = o
+        union = taken = 0
+        while left:
+            low = left & -left
+            below = out[low.bit_length() - 1]
+            taken |= low
+            union |= below
+            left &= ~(below | low)
+        if union & ~(o | 1 << i):
+            return None
+        skeleton.append(taken)
+    return tuple(skeleton)
+
+
+def _is_chain(out: Sequence[int], mask: int) -> bool:
+    """True iff every two nodes of ``mask`` are joined by an edge, counted
+    as one popcount per node.  On a closed DAG that holds exactly when the
+    nodes of ``mask`` form one chain."""
+    m = mask.bit_count()
+    return sum((out[i] & mask).bit_count() for i in _bits(mask)) == m * (m - 1) // 2
 
 
 def _bits(mask: int):
@@ -512,8 +583,14 @@ def topological_sort(g: LabeledDigraph) -> list[NodeId]:
 def _smallest_first_order(g: LabeledDigraph) -> tuple[NodeId, ...]:
     """Kahn's algorithm on ``g.adjacency_masks``.  A node is ready once none
     of its in-neighbours is left; the heap holds the ready nodes by their
-    rank in id order, so the smallest ready id comes next."""
+    rank in id order, so the smallest ready id comes next.
+
+    On a closed DAG the removed nodes only visit their skeleton
+    out-neighbours (``g.skeleton``).  That finds the same ready nodes: the
+    last in-neighbour of ``j`` to go is a skeleton in-neighbour, since a
+    skipped edge ``i -> j`` runs through a later in-neighbour of ``j``."""
     _, out, inn = g.adjacency_masks
+    step = out if g.skeleton is None else g.skeleton
     nodes = g.nodes
     by_id = sorted(range(len(nodes)), key=nodes.__getitem__)
     rank = [0] * len(nodes)
@@ -527,7 +604,7 @@ def _smallest_first_order(g: LabeledDigraph) -> tuple[NodeId, ...]:
         i = by_id[heapq.heappop(ready)]
         order.append(nodes[i])
         left ^= 1 << i
-        x = out[i]
+        x = step[i]
         while x:
             low = x & -x
             x ^= low

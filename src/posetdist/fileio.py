@@ -12,11 +12,13 @@ and poset files use ``elements`` / ``relations`` instead (a relation
 ``#`` starts a comment.  Saving always canonicalizes (sorted keys, sorted
 node and edge lists), so load-then-save is byte-stable.
 
-A JSON file's two lists are checked whole, each check one pass in C over a
-list (:func:`_checked_whole`).  Only a file that fails one of them, or has
-an id or label that is not a string, is walked entry by entry
-(:func:`_walk_entries`); the walk reads ids, labels and endpoints through
-``str()`` and raises a :class:`ParseError` naming the first bad entry.
+A JSON file's node list is checked whole, each check one pass in C over
+the list (:func:`_checked_whole`), and its edge list goes as it stands to
+the graph or poset build, which checks every endpoint in one pass.  Only a
+file that fails one of these checks, or has an id, label or endpoint that
+is not a string, is walked entry by entry (:func:`_walk_entries`); the
+walk reads ids, labels and endpoints through ``str()`` and raises a
+:class:`ParseError` naming the first bad entry.
 """
 
 from __future__ import annotations
@@ -39,30 +41,55 @@ PathLike = Union[str, Path]
 
 def load_graph(path: PathLike) -> LabeledDigraph:
     """Read a labeled digraph from a JSON or text file."""
-    nodes, pairs = _load_pairs(path, kind="graph")
-    try:
-        return LabeledDigraph([i for i, _ in nodes], dict(nodes), pairs)
-    except (ValueError, KeyError) as exc:
-        raise ValidationError(f"{path}: {exc}", cause=exc) from exc
+    return _load(path, "graph", _graph)
 
 
 def load_poset(path: PathLike) -> PosetDigraph:
     """Read a labeled poset from a JSON or text file and build its digraph."""
-    elements, relations = _load_pairs(path, kind="poset")
-    try:
-        return build_poset_digraph(elements, relations)
-    except (PosetDistError, ValueError, KeyError) as exc:
-        raise ValidationError(f"{path}: {exc}", cause=exc) from exc
+    return _load(path, "poset", build_poset_digraph)
 
 
-def _load_pairs(path: PathLike, kind: str):
+def _graph(nodes: list, pairs: list) -> LabeledDigraph:
+    return LabeledDigraph([i for i, _ in nodes], dict(nodes), pairs)
+
+
+def _load(path: PathLike, kind: str, build):
+    """Parse ``path`` and build the result from its nodes and pairs.
+
+    A JSON file whose nodes pass :func:`_checked_whole` hands its raw edge
+    lists to ``build``, which checks every endpoint itself.  Only when that
+    build raises ValueError or TypeError (a bad edge entry) are the lists
+    walked, which raises the first bad entry's :class:`ParseError` or
+    reads the pairs through ``str()`` for a second build.
+    """
     text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return _parse_json(text, path, kind)
-    return _parse_text(text, path)
+    if not text.lstrip().startswith("{"):
+        return _built(path, build, *_parse_text(text, path))
+    items, entries, node_key, edge_key = _json_lists(text, path, kind)
+    nodes = _checked_whole(items, entries)
+    if nodes is not None:
+        try:
+            return build(nodes, entries)
+        except (ValueError, TypeError):
+            pass  # some edge entry is bad or not a string pair: walk them
+        except PosetDistError as exc:
+            raise _invalid(path, exc) from exc
+    return _built(path, build, *_walk_entries(items, entries, path, node_key, edge_key))
 
 
-def _parse_json(text: str, path: PathLike, kind: str):
+def _built(path: PathLike, build, nodes: list, pairs: list):
+    try:
+        return build(nodes, pairs)
+    except (PosetDistError, ValueError, KeyError) as exc:
+        raise _invalid(path, exc) from exc
+
+
+def _invalid(path: PathLike, exc: Exception) -> ValidationError:
+    return ValidationError(f"{path}: {exc}", cause=exc)
+
+
+def _json_lists(text: str, path: PathLike, kind: str):
+    """The node and edge lists of a JSON document, and their keys."""
     node_key, edge_key = (
         ("nodes", "edges") if kind == "graph" else ("elements", "relations")
     )
@@ -77,25 +104,19 @@ def _parse_json(text: str, path: PathLike, kind: str):
             raise ParseError(f"missing key {key!r}", path=path, field=key)
         if not isinstance(doc[key], list):
             raise ParseError(f"{key!r} must be a list", path=path, field=key)
-
-    items, entries = doc[node_key], doc[edge_key]
-    return _checked_whole(items, entries) or _walk_entries(
-        items, entries, path, node_key, edge_key
-    )
+    return doc[node_key], doc[edge_key], node_key, edge_key
 
 
 _ID_LABEL = itemgetter("id", "label")
 
 
 def _checked_whole(items: list, entries: list):
-    """The nodes and pairs of two lists that pass every check of
-    :func:`_walk_entries` unchanged, each check one pass over a whole list;
-    None when any check fails or some id or label is not a string.  An
-    endpoint that is not a string never equals a string id, so
-    ``issuperset`` rejects it, or raises TypeError when it is unhashable."""
+    """The ``(id, label)`` pairs of a node list, when every node is an
+    object with a string id and label, no id repeats and every edge entry
+    is a list; None otherwise.  Each check is one pass over a whole list.
+    Edge endpoints are left to the graph or poset build, which checks
+    them all at once."""
     if set(map(type, items)) - {dict} or set(map(type, entries)) - {list}:
-        return None
-    if set(map(len, entries)) - {2}:
         return None
     try:
         nodes = list(map(_ID_LABEL, items))
@@ -103,15 +124,9 @@ def _checked_whole(items: list, entries: list):
         return None
     if set(map(type, chain.from_iterable(nodes))) - {str}:
         return None
-    ids = set(map(itemgetter(0), nodes))
-    if len(ids) != len(nodes):
+    if len(set(map(itemgetter(0), nodes))) != len(nodes):
         return None
-    try:
-        if not ids.issuperset(chain.from_iterable(entries)):
-            return None
-    except TypeError:
-        return None
-    return nodes, list(map(tuple, entries))
+    return nodes
 
 
 def _walk_entries(items: list, entries: list, path: PathLike, node_key: str, edge_key: str):

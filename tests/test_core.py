@@ -81,6 +81,29 @@ def shuffled_dags(draw, max_nodes: int = 9):
 
 
 @st.composite
+def edited_closures(draw, max_nodes: int = 10):
+    """Transitive closures of DAGs with shuffled ids, node order and edge
+    order and 1-3 labels, with 0-3 edges then toggled (removed if present,
+    else added, self-loops and reversed edges included): the graphs where
+    a wrong skip in the closure test would show."""
+    n = draw(st.integers(1, max_nodes))
+    ids = draw(st.permutations([f"{chr(97 + i)}{i % 3}" for i in range(n)]))
+    ranks = draw(st.permutations(ids))
+    pool = [(a, b) for i, a in enumerate(ranks) for b in ranks[i + 1 :]]
+    labels = "xyz"[: draw(st.integers(1, 3))]
+    node_labels = {v: draw(st.sampled_from(labels)) for v in ids}
+    dag_edges = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
+    edges = dict.fromkeys(transitive_closure(LabeledDigraph(ids, node_labels, dag_edges)).edges)
+    node = st.sampled_from(ids)
+    for e in draw(st.lists(st.tuples(node, node), max_size=3)):
+        if e in edges:
+            del edges[e]
+        else:
+            edges[e] = None
+    return LabeledDigraph(ids, node_labels, draw(st.permutations(list(edges))))
+
+
+@st.composite
 def shuffled_undirected(draw, max_nodes: int = 8):
     """Undirected graphs with shuffled ids, each edge given either way round."""
     n = draw(st.integers(0, max_nodes))
@@ -280,6 +303,43 @@ class TestValidateProperties:
     def test_report_matches_oracle_on_closures(self, g):
         # random digraphs are seldom closed; these reach the closed branches
         assert validate_properties(g) == report_by_networkx(g)
+
+    def test_two_cycle_passing_the_skip_test_is_not_closed(self):
+        # b <-> c: the skip test alone passes every node, though b -> d -> e
+        # has no b -> e; only an oriented graph may rest on it
+        g = LabeledDigraph(
+            tuple("abcde"),
+            dict.fromkeys("abcde", "x"),
+            (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+             ("c", "b"), ("c", "d"), ("d", "e")),
+        )
+        _, out, _ = g.adjacency_masks
+        assert core_module._skip_skeleton(out) is not None
+        assert g.skeleton is None
+        assert not g.report.is_transitively_closed
+        assert g.report == report_by_networkx(g)
+
+    @given(edited_closures())
+    def test_report_and_order_match_networkx_on_edited_closures(self, g):
+        assert g.report == report_by_networkx(g)
+        if g.report.is_acyclic:
+            assert g.topological_order == tuple(topological_order_by_networkx(g))
+        else:
+            with pytest.raises(CycleDetected):
+                topological_sort(g)
+
+    @given(edited_closures())
+    def test_skeleton_spans_every_edge_of_a_closed_dag(self, g):
+        # a skeleton exists exactly on closed DAGs; it keeps a subset of
+        # the edges whose closure is the whole graph
+        r = g.report
+        closed_dag = r.is_oriented and r.is_transitively_closed
+        assert (g.skeleton is not None) == closed_dag
+        if closed_dag:
+            kept = transitive_closure(
+                LabeledDigraph(g.nodes, g.node_labels, core_module._edges(g.nodes, g.skeleton))
+            )
+            assert set(kept.edges) == set(g.edges)
 
     def test_long_path_validates_and_sorts(self):
         ids = [f"v{i:04d}" for i in range(3000)]

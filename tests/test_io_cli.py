@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -14,7 +15,9 @@ import posetdist.fileio as fileio
 from posetdist import (
     LabeledDigraph,
     ParseError,
+    PosetDistError,
     ValidationError,
+    build_poset_digraph,
     cli_main,
     extended_line_digraph,
     generate_instance,
@@ -310,19 +313,51 @@ def entry_lists(draw):
     return items, entries
 
 
+def _graph_from_pairs(nodes, pairs) -> LabeledDigraph:
+    return LabeledDigraph([i for i, _ in nodes], dict(nodes), pairs)
+
+
+@pytest.mark.parametrize(
+    "load, node_key, edge_key, build",
+    [
+        (load_graph, "nodes", "edges", _graph_from_pairs),
+        (load_poset, "elements", "relations", build_poset_digraph),
+    ],
+    ids=["graph", "poset"],
+)
 @settings(max_examples=300)
-@given(entry_lists())
-def test_whole_list_checks_accept_only_what_the_walk_returns_as_is(lists):
-    """Lists that pass the whole-list checks are ones the entry walk reads
-    without an error, and to the same nodes and pairs."""
-    items, entries = lists
-    whole = fileio._checked_whole(items, entries)
+@given(lists=entry_lists())
+def test_loaders_build_what_the_walk_reads_or_raise_its_error(
+    tmp_path_factory, load, node_key, edge_key, build, lists
+):
+    """A file of the generated lists loads to what the build makes of the
+    entry walk's nodes and pairs.  Where the walk raises, the loader raises
+    the same ParseError (message and field); where that build raises, the
+    loader raises a ValidationError around the same error."""
+    text = entries_doc(node_key, edge_key, *lists)
+    path = write(tmp_path_factory.getbasetemp() / f"walked-{node_key}.json", text)
+    doc = json.loads(text)
     try:
-        walked = fileio._walk_entries(items, entries, "f.json", "nodes", "edges")
-    except ParseError:
-        assert whole is None
+        nodes, pairs = fileio._walk_entries(
+            doc[node_key], doc[edge_key], path, node_key, edge_key
+        )
+    except ParseError as walk_error:
+        with pytest.raises(ParseError) as raised:
+            load(path)
+        assert (str(raised.value), raised.value.field) == (str(walk_error), walk_error.field)
         return
-    assert whole is None or whole == walked
+    try:
+        expected = build(nodes, pairs)
+    except (PosetDistError, ValueError, KeyError) as build_error:
+        with pytest.raises(ValidationError) as raised:
+            load(path)
+        assert str(raised.value) == f"{path}: {build_error}"
+        assert type(raised.value.cause) is type(build_error)
+        return
+    loaded = load(path)
+    assert loaded == expected
+    g = loaded if isinstance(loaded, LabeledDigraph) else loaded.graph
+    assert all(type(v) is str for v in chain(g.nodes, g.node_labels.values(), *g.edges))
 
 
 class TestLoadPoset:
