@@ -24,7 +24,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, repeat
+from operator import or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -332,14 +333,22 @@ def validate_properties(g: LabeledDigraph) -> PropertyReport:
         acyclic = oriented and len(_peel(out, inn, everything)[0]) == n
         per_label = all(_unique_order(out, inn, c) for c in classes)
     return PropertyReport(
-        is_weakly_connected=n <= 1
-        or _reach([a | b for a, b in zip(out, inn)], 1) == everything,
+        is_weakly_connected=_weakly_connected(g),
         is_simple=not any(o >> i & 1 for i, o in enumerate(out)),
         is_oriented=oriented,
         is_acyclic=acyclic,
         is_transitively_closed=closed,
         per_label_path=per_label,
     )
+
+
+def _weakly_connected(g: LabeledDigraph) -> bool:
+    """True iff an undirected path joins every node pair of ``g``: one
+    :func:`_reach` from the first node over ``g.adjacency_masks``, each
+    node's out- and in-mask ORed."""
+    _, out, inn = g.adjacency_masks
+    n = len(out)
+    return n <= 1 or _reach(list(map(or_, out, inn)), 1) == (1 << n) - 1
 
 
 def _skip_skeleton(out: Sequence[int]) -> tuple[int, ...] | None:
@@ -642,7 +651,17 @@ def _dag_masks(g: LabeledDigraph, operation: str) -> tuple[Sequence[int], list[i
     return out, desc
 
 
-def _edges(nodes, masks: list[int]) -> list[Edge]:
+def _edges(nodes, masks: Sequence[int]) -> list[Edge]:
     """The edges ``nodes[i] -> nodes[j]`` for every bit ``j`` of
-    ``masks[i]``, sorted."""
-    return sorted((nodes[i], nodes[j]) for i, m in enumerate(masks) for j in _bits(m))
+    ``masks[i]``, sorted.  Each node's targets are one ``compress`` of
+    ``nodes`` by the mask's bits as 0/1 bytes, lowest bit first."""
+    return sorted(
+        chain.from_iterable(
+            zip(repeat(u), compress(nodes, format(m, "b").encode().translate(_BIT_BYTES)[::-1]))
+            for u, m in zip(nodes, masks)
+        )
+    )
+
+
+# the binary digits "0" and "1" as the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")

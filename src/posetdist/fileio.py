@@ -9,8 +9,9 @@ JSON graph files look like::
 and poset files use ``elements`` / ``relations`` instead (a relation
 [p, q] means p <= q).  The text form declares nodes first, one
 ``node <id> <label>`` per line, then one ``<src> <dst>`` pair per line;
-``#`` starts a comment.  Saving always canonicalizes (sorted keys, sorted
-node and edge lists), so load-then-save is byte-stable.
+``#`` starts a comment.  Files are read and written as UTF-8.  Saving
+always canonicalizes (sorted keys, sorted node and edge lists, two-space
+indent, non-ASCII as ``\\u`` escapes), so load-then-save is byte-stable.
 
 A JSON file's node list is checked whole, each check one pass in C over
 the list (:func:`_checked_whole`), and its edge list goes as it stands to
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Union
@@ -62,7 +64,10 @@ def _load(path: PathLike, kind: str, build):
     walked, which raises the first bad entry's :class:`ParseError` or
     reads the pairs through ``str()`` for a second build.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}", path=path) from exc
     if not text.lstrip().startswith("{"):
         return _built(path, build, *_parse_text(text, path))
     items, entries, node_key, edge_key = _json_lists(text, path, kind)
@@ -190,19 +195,48 @@ def _parse_text(text: str, path: PathLike):
 
 
 def graph_to_json(g: LabeledDigraph) -> str:
-    """Canonical JSON text for a graph: sorted keys and sorted lists."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "nodes": [
-            {"id": v, "label": g.node_labels[v]} for v in sorted(g.nodes)
-        ],
-        "edges": [list(e) for e in sorted(g.edges)],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text for a graph: what ``json.dumps(doc,
+    sort_keys=True, indent=2) + "\\n"`` writes for the document of
+    ``format_version``, the nodes sorted by id and the edges sorted.
+
+    Each id and label is encoded once (:func:`_scalar`); the encoded
+    values are paired with ``zip`` and joined into the fixed layout with
+    ``str.join`` over ``map`` (:func:`_pair_list`)."""
+    ids = sorted(g.nodes)
+    text = dict(zip(ids, map(_scalar, ids)))
+    nodes = zip(text.values(), map(_scalar, map(g.node_labels.__getitem__, ids)))
+    ends = map(text.__getitem__, chain.from_iterable(sorted(g.edges)))
+    # the same iterator twice: each edge takes its two ends in turn
+    edges = zip(ends, ends)
+    return (
+        f'{{\n  "edges": {_pair_list(edges, *_EDGE)},\n'
+        f'  "format_version": {_scalar(FORMAT_VERSION)},\n'
+        f'  "nodes": {_pair_list(nodes, *_NODE)}\n}}\n'
+    )
+
+
+# how an edge and a node entry open, separate their two values, and close
+_EDGE = ("    [\n      ", ",\n      ", "\n    ]")
+_NODE = ('    {\n      "id": ', ',\n      "label": ', "\n    }")
+
+
+def _scalar(value) -> str:
+    """One id or label as JSON: ``encode_basestring_ascii`` (C) for a
+    string, ``json.dumps`` for any other scalar."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _pair_list(pairs, start: str, middle: str, end: str) -> str:
+    """A JSON list at the second indent level of two-value entries, each
+    written ``start + a + middle + b + end``."""
+    body = f"{end},\n{start}".join(map(middle.join, pairs))
+    return f"[\n{start}{body}{end}\n  ]" if body else "[]"
 
 
 def save_graph(g: LabeledDigraph, path: PathLike) -> None:
-    Path(path).write_text(graph_to_json(g))
+    Path(path).write_text(graph_to_json(g), encoding="utf-8")
 
 
 def eld_to_dot(eld: ExtendedLineDigraph, name: str = "eld") -> str:

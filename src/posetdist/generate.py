@@ -11,13 +11,21 @@ Three kinds:
 
 Everything is driven by one ``random.Random(seed)``, so a (kind, nodes,
 labels, density, seed) tuple always reproduces the same graph.
+
+A sample is accepted when it has an edge and is weakly connected, tested
+on the sample itself before any closure: closing a DAG adds edges only
+between nodes that a path already joins, so the closure is weakly
+connected exactly when the sample is.  Only the accepted sample of a
+closure kind is closed.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations, compress, repeat, starmap
+from operator import eq, gt, ne
 
-from .core import LabeledDigraph, transitive_closure
+from .core import LabeledDigraph, _weakly_connected, transitive_closure
 from .errors import InfeasibleParameters
 
 KINDS = ("wso", "closure", "path-closure")
@@ -46,15 +54,12 @@ def generate_instance(
     if not 0.0 <= density <= 1.0:
         raise InfeasibleParameters("density must be within [0, 1]")
     rng = random.Random(seed)
+    sample = _SAMPLERS[kind]
+    ids = _ids(nodes)
     for _ in range(_MAX_ATTEMPTS):
-        if kind == "wso":
-            g = _sample_wso(rng, nodes, labels, density)
-        elif kind == "closure":
-            g = _sample_closure(rng, nodes, labels, density)
-        else:
-            g = _sample_path_closure(rng, nodes, labels, density)
-        if g.report.is_weakly_connected and g.edges:
-            return g
+        g = sample(rng, ids, labels, density)
+        if g.edges and _weakly_connected(g):
+            return g if kind == "wso" else transitive_closure(g)
     raise InfeasibleParameters(
         f"no weakly connected {kind} instance with nodes={nodes} "
         f"density={density} after {_MAX_ATTEMPTS} attempts"
@@ -67,53 +72,51 @@ def _ids(n: int) -> list[str]:
 
 
 def _random_labels(rng: random.Random, ids: list[str], labels: int) -> dict[str, str]:
-    return {v: f"L{rng.randrange(labels)}" for v in ids}
+    """One ``rng.randrange(labels)`` per node, in id order."""
+    return dict(zip(ids, map("L{}".format, map(rng.randrange, repeat(labels, len(ids))))))
 
 
-def _sample_wso(rng, n, labels, density) -> LabeledDigraph:
-    ids = _ids(n)
+def _kept(rng: random.Random, pairs: list, density: float) -> list:
+    """The pairs kept by one ``rng.random() < density`` each, in order;
+    all the draws are made before it returns."""
+    draws = starmap(rng.random, repeat((), len(pairs)))
+    return list(compress(pairs, map(gt, repeat(density), draws)))
+
+
+def _sample_wso(rng, ids, labels, density) -> LabeledDigraph:
+    # a kept pair draws its orientation at once, so the draws interleave
+    # and the pairs are walked one by one
+    draw = rng.random
     edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                pair = (ids[i], ids[j]) if rng.random() < 0.5 else (ids[j], ids[i])
-                edges.append(pair)
+    for a, b in combinations(ids, 2):
+        if draw() < density:
+            edges.append((a, b) if draw() < 0.5 else (b, a))
     return LabeledDigraph(ids, _random_labels(rng, ids, labels), edges)
 
 
-def _sample_closure(rng, n, labels, density) -> LabeledDigraph:
-    ids = _ids(n)
+def _sample_dag(rng, ids, labels, density) -> LabeledDigraph:
     order = list(ids)
     rng.shuffle(order)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                edges.append((order[i], order[j]))
-    g = LabeledDigraph(ids, _random_labels(rng, ids, labels), edges)
-    return transitive_closure(g)
+    edges = _kept(rng, list(combinations(order, 2)), density)
+    return LabeledDigraph(ids, _random_labels(rng, ids, labels), edges)
 
 
-def _sample_path_closure(rng, n, labels, density) -> LabeledDigraph:
-    ids = _ids(n)
+def _sample_chained_dag(rng, ids, labels, density) -> LabeledDigraph:
     order = list(ids)
     rng.shuffle(order)
-    position = {v: i for i, v in enumerate(order)}
-    # deal nodes into label classes, then chain each class along the order
-    assignment = [i % labels for i in range(n)]
+    # deal nodes into label classes, then chain each class along the order:
+    # a stable sort by label lists each class in order, one after another
+    assignment = [i % labels for i in range(len(ids))]
     rng.shuffle(assignment)
-    node_labels = {v: f"L{assignment[i]}" for i, v in enumerate(ids)}
-    edges = set()
-    for lab in {f"L{k}" for k in range(labels)}:
-        chain = sorted(
-            (v for v in ids if node_labels[v] == lab), key=position.__getitem__
-        )
-        for a, b in zip(chain, chain[1:]):
-            edges.add((a, b))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = order[i], order[j]
-            if node_labels[a] != node_labels[b] and rng.random() < density:
-                edges.add((a, b))
-    g = LabeledDigraph(ids, node_labels, sorted(edges))
-    return transitive_closure(g)
+    node_labels = dict(zip(ids, map("L{}".format, assignment)))
+    by_label = sorted(order, key=node_labels.__getitem__)
+    label_run = list(map(node_labels.__getitem__, by_label))
+    chains = compress(zip(by_label, by_label[1:]), map(eq, label_run, label_run[1:]))
+    # every pair across two classes, in order, draws once
+    across = starmap(ne, combinations(map(node_labels.__getitem__, order), 2))
+    pairs = list(compress(combinations(order, 2), across))
+    return LabeledDigraph(ids, node_labels, [*chains, *_kept(rng, pairs, density)])
+
+
+# the sample of each kind; every kind but wso is closed once accepted
+_SAMPLERS = {"wso": _sample_wso, "closure": _sample_dag, "path-closure": _sample_chained_dag}

@@ -8,6 +8,7 @@ the code under test, so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 
 import networkx as nx
@@ -331,3 +332,26 @@ def admces(g: LabeledDigraph, g2: LabeledDigraph) -> int:
                 if _edge_induced_isomorphic(g, e1, g2, e2):
                     return k
     return 0
+
+
+def graph_json_by_dumps(g: LabeledDigraph) -> str:
+    """The canonical graph file as the standard library writes it: the
+    whole document through ``json.dumps`` with sorted keys and a two-space
+    indent."""
+    doc = {
+        "format_version": "1",
+        "nodes": [{"id": v, "label": g.node_labels[v]} for v in sorted(g.nodes)],
+        "edges": [list(e) for e in sorted(g.edges)],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def mask_edges_by_bits(nodes, masks) -> list:
+    """The edges ``nodes[i] -> nodes[j]`` for every set bit ``j`` of
+    ``masks[i]``, found by testing each bit in turn, sorted."""
+    return sorted(
+        (u, nodes[j])
+        for u, m in zip(nodes, masks)
+        for j in range(m.bit_length())
+        if m >> j & 1
+    )

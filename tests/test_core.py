@@ -40,6 +40,7 @@ from oracles import (
     closure_by_networkx,
     labeled_digraph_by_loop,
     line_graph_by_networkx,
+    mask_edges_by_bits,
     reduction_by_networkx,
     report_by_networkx,
     topological_order_by_networkx,
@@ -340,6 +341,16 @@ class TestValidateProperties:
                 LabeledDigraph(g.nodes, g.node_labels, core_module._edges(g.nodes, g.skeleton))
             )
             assert set(kept.edges) == set(g.edges)
+
+    @given(st.data())
+    def test_edges_of_masks_match_a_bit_by_bit_read(self, data):
+        # nodes in unsorted insertion order, as strings or as ints
+        n = data.draw(st.integers(0, 70))
+        ids = data.draw(st.sampled_from((list(range(n)), [f"v{i}" for i in range(n)])))
+        nodes = tuple(data.draw(st.permutations(ids)))
+        masks = [data.draw(st.integers(0, (1 << n) - 1)) for _ in nodes]
+        edges = core_module._edges(nodes, masks)
+        assert edges == mask_edges_by_bits(nodes, masks)
 
     def test_long_path_validates_and_sorts(self):
         ids = [f"v{i:04d}" for i in range(3000)]

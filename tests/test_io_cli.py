@@ -4,12 +4,12 @@ import json
 import re
 import subprocess
 import sys
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import posetdist.fileio as fileio
 from posetdist import (
@@ -28,6 +28,7 @@ from posetdist import (
     eld_to_dot,
 )
 from conftest import budget_pair, chain_pair, subprocess_env
+from oracles import graph_json_by_dumps
 
 
 def write(path, text: str):
@@ -97,6 +98,48 @@ class TestGraphJson:
         g = load_graph(path)
         assert set(g.nodes) == {"1", "2"}
         assert g.edge_set == {("1", "2")}
+
+
+@st.composite
+def text_graphs(draw):
+    """Graphs whose ids and labels are any text: non-ASCII, quotes,
+    backslashes, control characters and lone surrogates included."""
+    ids = draw(st.lists(st.text(), unique=True, max_size=8))
+    labels = {v: draw(st.text()) for v in ids}
+    pool = list(product(ids, repeat=2))
+    edges = draw(st.lists(st.sampled_from(pool), max_size=12)) if pool else []
+    return LabeledDigraph(ids, labels, edges)
+
+
+class TestGraphJsonWriter:
+    """``graph_to_json`` writes what ``json.dumps`` writes for the document."""
+
+    @given(text_graphs())
+    @example(LabeledDigraph(['"\\\ud800\x01é'], {'"\\\ud800\x01é': "☃\n"}, []))
+    def test_any_text_matches_json_dumps(self, g):
+        assert graph_to_json(g) == graph_json_by_dumps(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            LabeledDigraph(["a", "b"], {"a": "x", "b": "y"}, []),
+            LabeledDigraph([], {}, []),
+            LabeledDigraph([3, 1, 2], {3: "x", 1: "y", 2: 7}, [(3, 1), (1, 2), (3, 2)]),
+            LabeledDigraph(["a", "b", "c"], {"a": 1, "b": True, "c": 1.0}, [("a", "c")]),
+            generate_instance("path-closure", 40, 6, 0.15, 0),
+        ],
+        ids=["no edges", "no nodes", "int ids", "equal scalar labels", "path-closure"],
+    )
+    def test_edge_cases_match_json_dumps(self, g):
+        assert graph_to_json(g) == graph_json_by_dumps(g)
+
+    def test_non_ascii_is_escaped_and_read_back(self, tmp_path):
+        g = LabeledDigraph(["é", "b"], {"é": "☃", "b": "x"}, [("é", "b")])
+        path = tmp_path / "g.json"
+        save_graph(g, path)
+        raw = path.read_bytes()
+        assert raw.isascii() and b"\\u00e9" in raw and b"\\u2603" in raw
+        assert load_graph(path).edge_set == g.edge_set
 
 
 class TestGraphText:
@@ -783,6 +826,39 @@ assert pd.cli_main(["distance", "--poset", poset, poset]) == 0
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "3"
+
+    @pytest.mark.parametrize("encoding, code", [("utf-8", 0), ("latin-1", 2)])
+    def test_files_are_read_as_utf8_under_any_locale(self, tmp_path, encoding, code):
+        # the C locale would decode as ASCII; a file that is not UTF-8 is
+        # a parse error (exit 2), not an internal one
+        text = '{"nodes": [{"id": "a", "label": "é"}, {"id": "b", "label": "é"}],'
+        path = tmp_path / "g.json"
+        path.write_bytes((text + ' "edges": [["a", "b"]]}').encode(encoding))
+        locale = subprocess_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "posetdist", "validate", str(path)],
+            capture_output=True,
+            text=True,
+            env=locale,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "internal error" not in proc.stderr
+        script = (
+            "import sys, posetdist as pd\n"
+            "try:\n"
+            "    print(pd.load_graph(sys.argv[1]).node_labels['a'] == '\\u00e9')\n"
+            "except pd.ParseError as exc:\n"
+            "    print('ParseError', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True,
+            text=True,
+            env=locale,
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = "True" if encoding == "utf-8" else f"ParseError {path}: not UTF-8"
+        assert proc.stdout.startswith(expected)
 
     def test_package_entry_point_is_silent(self, tmp_path):
         # ``python -m posetdist`` runs ``__main__``, so runpy never meets
