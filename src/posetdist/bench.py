@@ -21,6 +21,13 @@ from .metric import _compat_vertices, closure_flags, solve
 from .solvers import _BRUTE_NODE_CAP, Solver
 
 _BRUTE_MATCHINGS = 150_000  # matchings; beyond this the oracle is skipped
+# matchings beyond which alg1 is skipped.  On pairs of chain closures its
+# bound keeps it within about 1 s up to 5e8 matchings (14-node
+# path-closures with 3 labels); on any other pair it took at most 0.5 s up
+# to 1e6, and 1-18 s or more from 2e6 on (seeded wso and closure pairs of
+# 10-18 nodes)
+_ALG1_MATCHINGS = 1_000_000
+_ALG1_CHAIN_MATCHINGS = 500_000_000
 _CLIQUE_LIMIT = 1000  # compatibility-graph vertices; beyond this clique is skipped
 
 CSV_FIELDS = ("solver", "n_nodes", "n_edges", "value", "elapsed_ms", "agree")
@@ -58,19 +65,22 @@ def seeded_pair(
 def check_pair(g: LabeledDigraph, g2: LabeledDigraph) -> list[dict]:
     """Run every solver that audits the pair; returns one CSV-ready row each.
 
-    alg1 runs on every pair, alg2 when both graphs are transitive closures
-    and alg3 when every label class is also a chain in both.  brute runs
-    when the pair has at most ``_BRUTE_MATCHINGS`` matchings (and fits the
-    oracle's node cap), clique when the compatibility graph has at most
-    ``_CLIQUE_LIMIT`` vertices (see :func:`metric._compat_vertices`).
-    Raises :class:`SolverDisagreement`, with both graphs as JSON, if any
-    two values differ.
+    alg2 runs when both graphs are transitive closures and alg3 when every
+    label class is also a chain in both.  The others are gated by the
+    pair's :func:`matching_count`: brute runs on at most
+    ``_BRUTE_MATCHINGS`` matchings (and within the oracle's node cap), and
+    alg1 on at most ``_ALG1_CHAIN_MATCHINGS`` where alg3 runs and at most
+    ``_ALG1_MATCHINGS`` elsewhere.  clique runs when the compatibility
+    graph has at most ``_CLIQUE_LIMIT`` vertices (see
+    :func:`metric._compat_vertices`).  Raises :class:`SolverDisagreement`,
+    with both graphs as JSON, if any two values differ.
     """
     closures, chains = closure_flags(g, g2)
     n_nodes = max(len(g.nodes), len(g2.nodes))
+    count = matching_count(g, g2)
     runs = {
-        Solver.BRUTE: n_nodes <= _BRUTE_NODE_CAP and matching_count(g, g2) <= _BRUTE_MATCHINGS,
-        Solver.ALG1: True,
+        Solver.BRUTE: n_nodes <= _BRUTE_NODE_CAP and count <= _BRUTE_MATCHINGS,
+        Solver.ALG1: count <= (_ALG1_CHAIN_MATCHINGS if chains else _ALG1_MATCHINGS),
         Solver.ALG2: closures,
         Solver.ALG3: chains,
         Solver.CLIQUE: _compat_vertices(g, g2) <= _CLIQUE_LIMIT,

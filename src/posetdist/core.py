@@ -166,6 +166,26 @@ class LabeledDigraph:
             classes.setdefault(self.node_labels[v], []).append(v)
         return {a: tuple(vs) for a, vs in classes.items()}
 
+    @cached_property
+    def label_indices(self) -> dict[str, tuple[int, ...]]:
+        """Per label, the positions in ``nodes`` of its class, in id order:
+        the candidate images of the order searches, built once per graph
+        object."""
+        index = self.adjacency_masks[0]
+        return {
+            a: tuple(map(index.__getitem__, sorted(vs)))
+            for a, vs in self.label_classes.items()
+        }
+
+    @cached_property
+    def label_masks(self) -> dict[str, int]:
+        """Per label, the bitmask of its class over positions in ``nodes``,
+        built once per graph object."""
+        index = self.adjacency_masks[0]
+        return {
+            a: sum(1 << index[v] for v in vs) for a, vs in self.label_classes.items()
+        }
+
     def relabel(self, mapping: Mapping[NodeId, NodeId]) -> "LabeledDigraph":
         """Rename nodes by a bijective id mapping, labels carried along."""
         return LabeledDigraph(
@@ -318,7 +338,7 @@ def validate_properties(g: LabeledDigraph) -> PropertyReport:
     everything = (1 << n) - 1
     skeleton = g.skeleton
     oriented = skeleton is not None or not any(a & b for a, b in zip(out, inn))
-    classes = [sum(1 << index[v] for v in vs) for vs in g.label_classes.values()]
+    classes = g.label_masks.values()
     if skeleton is not None:
         closed = acyclic = True
         per_label = all(_is_chain(out, c) for c in classes)
@@ -403,6 +423,39 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _bit_flags(mask: int) -> bytes:
+    """The bits of ``mask`` as the bytes 0 and 1, lowest bit first, up to
+    its highest set bit (one 0 for the empty mask): a selector for
+    :func:`itertools.compress`."""
+    return format(mask, "b").encode().translate(_BIT_BYTES)[::-1]
+
+
+def _dense(mask: int) -> bool:
+    """True when :func:`_image` sums over ``mask`` with one ``compress``.
+
+    ``compress`` costs about as much as walking seven set bits, plus one
+    bit per sixteen positions of the mask's bit length: the crossover of
+    the two ways on tables of single bits, at bit lengths 10 to 400 (2
+    vCPU, Python 3.11)."""
+    return mask.bit_count() * 16 > mask.bit_length() + 112
+
+
+def _image(mask: int, table: Sequence[int]) -> int:
+    """The sum of ``table[i]`` over the set bits ``i`` of ``mask``; the OR
+    of them when the entries share no bit, as the image bits of an
+    injective map do.  A :func:`_dense` mask is one C-level ``compress``
+    of ``table`` by its :func:`_bit_flags`; any other walks its set bits,
+    lowest first."""
+    if _dense(mask):
+        return sum(compress(table, _bit_flags(mask)))
+    image = 0
+    while mask:
+        low = mask & -mask
+        image += table[low.bit_length() - 1]
+        mask ^= low
+    return image
 
 
 def _adjacency_masks(
@@ -654,11 +707,10 @@ def _dag_masks(g: LabeledDigraph, operation: str) -> tuple[Sequence[int], list[i
 def _edges(nodes, masks: Sequence[int]) -> list[Edge]:
     """The edges ``nodes[i] -> nodes[j]`` for every bit ``j`` of
     ``masks[i]``, sorted.  Each node's targets are one ``compress`` of
-    ``nodes`` by the mask's bits as 0/1 bytes, lowest bit first."""
+    ``nodes`` by the mask's :func:`_bit_flags`."""
     return sorted(
         chain.from_iterable(
-            zip(repeat(u), compress(nodes, format(m, "b").encode().translate(_BIT_BYTES)[::-1]))
-            for u, m in zip(nodes, masks)
+            zip(repeat(u), compress(nodes, _bit_flags(m))) for u, m in zip(nodes, masks)
         )
     )
 

@@ -24,6 +24,13 @@ keeps its own stack, so no input is too deep for it.  It also carries an
 admissible score bound (a branch is cut when even deciding every remaining
 edge in its favor cannot beat the best score already found).  The bound
 never changes the value or the reported witness; it only skips work.
+
+Node sets are bitmasks over each graph's cached ``adjacency_masks``, and
+a set of nodes of ``g`` is carried through a matching by
+:func:`core._image`: one C-level ``compress`` over a dense mask, a walk
+over its set bits otherwise.  The search maps each node's mapped
+neighbours this way, and :func:`score`, the witness check of every
+solver, maps each mapped node's out-neighbours, one popcount per pair.
 """
 
 from __future__ import annotations
@@ -31,11 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
 from typing import Iterable
 
-from .core import LabeledDigraph, PosetDigraph, _bits, topological_sort
+from .core import LabeledDigraph, PosetDigraph, _bits, _dense, _image, topological_sort
 from .errors import (
     DegenerateInput,
     InvalidMatching,
@@ -105,6 +110,17 @@ class DmcesOutcome:
 
 
 def _check_matching(g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching) -> None:
+    # the whole matching is checked at once; the loop runs only to name the
+    # first bad pair
+    dom, img = phi.domain, phi.image
+    try:
+        ok = list(map(g.node_labels.__getitem__, dom)) == list(
+            map(g2.node_labels.__getitem__, img)
+        )
+    except KeyError:
+        ok = False
+    if ok and len(set(dom)) == len(dom) and len(set(img)) == len(img):
+        return
     seen_dom: set[str] = set()
     seen_img: set[str] = set()
     for v, w in phi.pairs:
@@ -120,19 +136,32 @@ def _check_matching(g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching) ->
             raise InvalidMatching(f"label mismatch on pair ({v!r}, {w!r})")
 
 
-_UNMATCHED = object()
-
-
 def score(g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching) -> int:
     """Number of edges (v1, v2) of ``g`` whose image (phi(v1), phi(v2)) is
-    an edge of ``g2``."""
+    an edge of ``g2``.
+
+    Counted per mapped node ``u`` on both graphs' cached
+    ``adjacency_masks``: the image of ``u``'s mapped out-neighbours, one
+    :func:`core._image` of ``out[u]`` within the domain, ANDed with the
+    out-mask of ``phi(u)``.  That is one popcount per pair of ``phi``, and
+    no edge set of ``g2`` is built."""
     _check_matching(g, g2, phi)
-    # the image of every edge, an unmapped end read as _UNMATCHED, counted
-    # in C-level passes: no pair with an _UNMATCHED end is an edge of g2
-    image, edges = phi.mapping.get, g.edges
-    tails = map(image, map(itemgetter(0), edges), repeat(_UNMATCHED))
-    heads = map(image, map(itemgetter(1), edges), repeat(_UNMATCHED))
-    return sum(map(g2.edge_set.__contains__, zip(tails, heads)))
+    index, out, _ = g.adjacency_masks
+    index2, out2, _ = g2.adjacency_masks
+    img_bit = [0] * len(out)
+    dom = 0
+    ends = []
+    for v, w in phi.pairs:
+        u, j = index[v], index2[w]
+        img_bit[u] = 1 << j
+        dom |= 1 << u
+        ends.append((out[u], out2[j]))
+    realized = 0
+    for o, o2 in ends:
+        x = o & dom
+        if x:
+            realized += (o2 & _image(x, img_bit)).bit_count()
+    return realized
 
 
 def matched_edges(
@@ -342,6 +371,10 @@ def dmces_alg3(
     return _outcome(ga, gb, value, phi, Solver.ALG3)
 
 
+# the branches of a node whose label has no candidate: the skip alone
+_SKIP = (-1,)
+
+
 def _pick_nodes(
     g: LabeledDigraph,
     g2: LabeledDigraph,
@@ -363,55 +396,68 @@ def _pick_nodes(
     beat the incumbent are cut.
 
     The search runs depth-first on an explicit stack, so its depth is not
-    capped by the recursion limit, and reads both graphs' cached
-    ``adjacency_masks``.  Node sets are bitmasks held by value in the
-    frames: ``used`` and ``dead_images`` (alg3's permanently unusable
-    images) of ``g2``, ``mapped`` and ``skipped`` of ``g``.  So
-    backtracking undoes nothing; ``img[u]`` is read only while ``u`` is in
-    ``mapped``.  A frame serves the node at position ``i``:
+    capped by the recursion limit.  It reads what both graphs cache: their
+    ``adjacency_masks``, ``g2``'s candidate lists per label
+    (``label_indices``) and both graphs' ``label_masks``.  Node sets are
+    bitmasks held by value in the frames: ``used`` and ``dead_images``
+    (alg3's permanently unusable images) of ``g2``, ``mapped`` and
+    ``skipped`` of ``g``.  So backtracking undoes nothing.  Mapping ``u``
+    to ``j`` writes ``img_bit[u] = 1 << j`` and ``img_in2[u] = in2[j]``,
+    read only while ``u`` is in ``mapped``.  A frame serves the node at
+    position ``i``:
 
     - ``cursor`` runs over its candidates, then ``-1`` for the skip;
     - ``bound`` already counts every edge to a processed node as dead;
     - ``a_in`` / ``a_out`` hold the images of its mapped in- /
       out-neighbours, so candidate ``j`` realizes the edges in
-      ``a_in & in2[j]`` and ``a_out & out2[j]``;
+      ``a_in & in2[j]`` and ``a_out & out2[j]``.  Each is the sum of
+      ``img_bit`` over a neighbour mask: :func:`core._image` for a node
+      with a dense mask, its walk inline for any other.  Under the order
+      filter every out-neighbour comes later, so ``a_out`` is 0;
     - ``avail`` holds the candidates that are unused, not dead and (order
-      filter) not in-neighbours of the image of a same-label in-neighbour;
+      filter) not in-neighbours of the image of a same-label in-neighbour,
+      that is, not in the union of ``img_in2`` over those neighbours;
     - ``free`` and ``slack`` serve alg3's image-supply test.
     """
     index, out, inn = g.adjacency_masks
-    index2, out2, in2 = g2.adjacency_masks
+    _, out2, in2 = g2.adjacency_masks
     labels = g.node_labels
     target = label_budget(g, g2).per_label
-    candidates = {
-        a: [index2[v] for v in sorted(vs)] for a, vs in g2.label_classes.items()
-    }
-    class2 = {a: sum(1 << j for j in js) for a, js in candidates.items()}
-    same = {a: sum(1 << index[v] for v in vs) for a, vs in g.label_classes.items()}
-    branches = {a: js + [-1] for a, js in candidates.items()}
-    # per position: the node, its in- and out-neighbours, its same-label
-    # nodes (order filter only), its branches, its candidates' class, the
-    # matches of that label a skip needs, and the class size beyond target
+    class2 = g2.label_masks
+    same = g.label_masks
+    branches = {a: (*js, -1) for a, js in g2.label_indices.items()}
+    # per position: the node, its in-neighbours, its out-neighbours (none
+    # under the order filter: they all come later), its same-label nodes
+    # (order filter only), its branches, its candidates' class, the matches
+    # of that label a skip needs, the class size beyond target, and whether
+    # either neighbour mask is dense enough for _image
     steps = []
     later = dict.fromkeys(same, 0)
     for v in reversed(topological_sort(g) if order_filter else g.nodes):
         a = labels[v]
         m = index[v]
+        in_m = inn[m]
+        out_m = 0 if order_filter else out[m]
+        cand = branches.get(a, _SKIP)
         steps.append((
             m,
-            inn[m],
-            out[m],
+            in_m,
+            out_m,
             same[a] if order_filter else 0,
-            branches.get(a, [-1]),
+            cand,
             class2.get(a, 0),
             target[a] - later[a],
-            len(candidates.get(a, ())) - target[a],
+            len(cand) - 1 - target[a],
+            _dense(in_m) or _dense(out_m),
         ))
         later[a] += 1
     steps.reverse()
     n = len(steps)
 
-    img = [0] * n
+    # per node of g, written when it is mapped: its image as a bit, and
+    # the in-mask of its image
+    img_bit = [0] * n
+    img_in2 = [0] * n
     best = -1
     best_pairs: tuple[tuple[str, str], ...] = ()
     stack: list[tuple] = []
@@ -422,24 +468,33 @@ def _pick_nodes(
             if score > best:
                 best = score
                 best_pairs = tuple(
-                    (g.nodes[u], g2.nodes[img[u]]) for u in _bits(mapped)
+                    (g.nodes[u], g2.nodes[img_bit[u].bit_length() - 1])
+                    for u in _bits(mapped)
                 )
         else:
-            _, in_m, out_m, same_m, cand, cls2, _, spare = steps[i]
-            a_in = a_out = cross = 0
+            _, in_m, out_m, same_m, cand, cls2, _, spare, wide = steps[i]
             x = in_m & mapped
+            y = out_m & mapped
+            if wide:
+                a_in = _image(x, img_bit)
+                a_out = _image(y, img_bit)
+            else:
+                # _image's walk, inline: neither full neighbour mask is dense
+                a_in = a_out = 0
+                while x:
+                    low = x & -x
+                    x ^= low
+                    a_in += img_bit[low.bit_length() - 1]
+                while y:
+                    low = y & -y
+                    y ^= low
+                    a_out += img_bit[low.bit_length() - 1]
+            cross = 0
+            x = in_m & mapped & same_m
             while x:
                 low = x & -x
                 x ^= low
-                j = img[low.bit_length() - 1]
-                a_in |= 1 << j
-                if low & same_m:
-                    cross |= in2[j]
-            x = out_m & mapped
-            while x:
-                low = x & -x
-                x ^= low
-                a_out |= 1 << img[low.bit_length() - 1]
+                cross |= img_in2[low.bit_length() - 1]
             bound -= ((in_m | out_m) & (mapped | skipped)).bit_count()
             free = cls2 & ~used & ~dead_images
             slack = spare - (dead_images & cls2).bit_count()
@@ -453,7 +508,7 @@ def _pick_nodes(
              a_in, a_out, avail, free, slack) = stack[-1]
             for j in cursor:
                 if j < 0:
-                    m, _, _, _, _, cls2, need, _ = steps[i]
+                    m, _, _, _, _, cls2, need, _, _ = steps[i]
                     if (used & cls2).bit_count() >= need and bound > best:
                         skipped |= 1 << m
                         break
@@ -469,7 +524,8 @@ def _pick_nodes(
                 if bound + gained <= best:
                     continue
                 m = steps[i][0]
-                img[m] = j
+                img_bit[m] = 1 << j
+                img_in2[m] = in2[j]
                 score += gained
                 bound += gained
                 used |= 1 << j
@@ -485,3 +541,4 @@ def _pick_nodes(
         i += 1
 
     return best, NodeMatching(best_pairs)
+

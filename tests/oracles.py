@@ -355,3 +355,19 @@ def mask_edges_by_bits(nodes, masks) -> list:
         for j in range(m.bit_length())
         if m >> j & 1
     )
+
+
+def image_by_bits(mask: int, table) -> int:
+    """The sum of ``table[i]`` over the set bits ``i`` of ``mask``, testing
+    each bit in turn."""
+    return sum(table[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def score_by_edge_set(g, g2, phi: dict) -> int:
+    """The edges (a, b) of ``g`` with both ends mapped whose image
+    (phi(a), phi(b)) is in the edge set of ``g2``; a self-loop counts like
+    any other edge."""
+    edges2 = set(g2.edges)
+    return sum(
+        1 for a, b in g.edges if a in phi and b in phi and (phi[a], phi[b]) in edges2
+    )

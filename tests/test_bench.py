@@ -8,6 +8,7 @@ from posetdist import BenchConfig, SolverDisagreement, bench_harness, rows_to_cs
 from posetdist.bench import check_pair, matching_count, seeded_pair
 from posetdist.generate import KINDS
 from posetdist.metric import closure_flags
+import posetdist.bench as bench_module
 import posetdist.metric as metric_module
 from conftest import seeded_graphs
 from oracles import iter_matchings
@@ -77,6 +78,37 @@ class TestHarness:
         assert metric_module._compat_vertices(*seeded_pair("path-closure", 14, 14, 0.3, 0)) == 19
         config = BenchConfig(kind="path-closure", sizes=(14,), trials=1, labels=14, density=0.3)
         assert solvers_of(bench_harness(config)) == ["alg1", "alg2", "alg3", "clique"]
+
+    def test_alg1_skipped_on_a_16_node_path_closure_pair(self, monkeypatch):
+        # 3.2e10 matchings, over the chain gate; brute and clique (k = 1411)
+        # are out too, so alg2 and alg3 audit each other
+        g, g2 = seeded_pair("path-closure", 16, 3, 0.4, 0)
+        assert matching_count(g, g2) > bench_module._ALG1_CHAIN_MATCHINGS
+        assert metric_module._compat_vertices(g, g2) > bench_module._CLIQUE_LIMIT
+        rows = check_pair(g, g2)
+        assert solvers_of(rows) == ["alg2", "alg3"]
+        assert rows[0]["value"] == rows[1]["value"]
+        real = metric_module.dmces_alg3
+
+        def lying_alg3(g, g2):
+            outcome = real(g, g2)
+            object.__setattr__(outcome, "value", outcome.value - 1)
+            return outcome
+
+        monkeypatch.setattr(metric_module, "dmces_alg3", lying_alg3)
+        with pytest.raises(SolverDisagreement, match="alg2=.*alg3="):
+            check_pair(g, g2)
+
+    def test_alg1_gated_by_matching_count_and_pair_shape(self):
+        # 499 534 244 matchings on 14-node chain closures: under the chain gate
+        pair = seeded_pair("path-closure", 14, 3, 0.3, 0)
+        assert matching_count(*pair) <= bench_module._ALG1_CHAIN_MATCHINGS
+        assert "alg1" in solvers_of(check_pair(*pair))
+        # an open pair just under the other gate, and one over it
+        under, over = seeded_pair("wso", 12, 3, 0.3, 2), seeded_pair("wso", 12, 3, 0.3, 0)
+        assert matching_count(*under) <= bench_module._ALG1_MATCHINGS < matching_count(*over)
+        assert solvers_of(check_pair(*under)) == ["alg1", "clique"]
+        assert solvers_of(check_pair(*over)) == ["clique"]
 
     def test_disagreement_aborts_and_names_both_values(self, monkeypatch):
         # force one solver to lie; the harness must dump the pair and raise

@@ -1,6 +1,7 @@
 """Graph types, structural predicates, poset construction, order utilities."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given
@@ -38,6 +39,7 @@ from oracles import (
     antisymmetry_pair,
     bfs_closure_edges,
     closure_by_networkx,
+    image_by_bits,
     labeled_digraph_by_loop,
     line_graph_by_networkx,
     mask_edges_by_bits,
@@ -173,6 +175,14 @@ class TestLabeledDigraph:
         assert g.out_neighbors["u"] == ("v", "x")
         assert g.in_neighbors["w"] == ("v", "x")
         assert g.label_classes == {"a": ("u", "v", "w", "x")}
+
+    def test_label_indices_and_masks(self):
+        # insertion order v, b, a, c; the index lists run in id order
+        g = LabeledDigraph(
+            ("v", "b", "a", "c"), {"v": "x", "b": "y", "a": "x", "c": "x"}, (("v", "b"),)
+        )
+        assert g.label_indices == {"x": (2, 3, 0), "y": (1,)}
+        assert g.label_masks == {"x": 0b1101, "y": 0b0010}
 
     def test_relabel_carries_labels_and_edges(self):
         g = diamond_graph()
@@ -351,6 +361,22 @@ class TestValidateProperties:
         masks = [data.draw(st.integers(0, (1 << n) - 1)) for _ in nodes]
         edges = core_module._edges(nodes, masks)
         assert edges == mask_edges_by_bits(nodes, masks)
+
+    @pytest.mark.parametrize("n", [16, 40, 80, 200, 1000])
+    def test_image_matches_a_bit_by_bit_sum(self, n):
+        # seeded masks from no bit to every bit, so that every size has
+        # masks on both sides of the crossover; the table's entries overlap
+        rng = random.Random(n)
+        table = [rng.getrandbits(n) for _ in range(n)]
+        counts = sorted({0, 1, 2, 3, 5, 8, 13, n // 8, n // 4, n // 2, n - 1, n})
+        masks = [
+            sum(1 << i for i in rng.sample(range(n), k)) for k in counts for _ in range(3)
+        ]
+        assert {core_module._dense(m) for m in masks} == {False, True}
+        for m in masks:
+            flags = bytes(m >> i & 1 for i in range(max(m.bit_length(), 1)))
+            assert core_module._bit_flags(m) == flags
+            assert core_module._image(m, table) == image_by_bits(m, table)
 
     def test_long_path_validates_and_sorts(self):
         ids = [f"v{i:04d}" for i in range(3000)]

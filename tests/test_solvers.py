@@ -1,6 +1,8 @@
 """Matching utilities and the four search-based DMCES solvers."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +43,12 @@ from conftest import (
     seeded_graphs,
     triangle,
 )
-from oracles import best_score_enumerated, iter_matchings, score_by_definition
+from oracles import (
+    best_score_enumerated,
+    iter_matchings,
+    score_by_definition,
+    score_by_edge_set,
+)
 
 
 def outcome_is_consistent(g, g2, out):
@@ -139,6 +146,63 @@ class TestScore:
         g, g2 = chain_pair()
         with pytest.raises(InvalidMatching, match="label mismatch"):
             score(g, g2, NodeMatching((("u", "w'"),)))
+
+
+def random_matchings(g, g2, rng, count):
+    """Label-respecting injective matchings of every size, from empty to
+    the largest, each label class paired in a shuffled order."""
+    for k in range(count):
+        pairs = []
+        for a, vs in g.label_classes.items():
+            ws = list(g2.label_classes.get(a, ()))
+            vs = list(vs)
+            rng.shuffle(vs)
+            rng.shuffle(ws)
+            pairs.extend(zip(vs, ws))
+        rng.shuffle(pairs)
+        yield dict(pairs[: len(pairs) * k // (count - 1)])
+
+
+def loopy_digraph(rng, n, labels, p) -> LabeledDigraph:
+    """A random digraph on ``n`` nodes in which every ordered pair, a
+    node with itself included, is an edge with probability ``p``: it has
+    self-loops and 2-cycles."""
+    ids = [f"n{i}" for i in rng.sample(range(n), n)]
+    edges = [(u, v) for u in ids for v in ids if rng.random() < p]
+    return LabeledDigraph(ids, {v: f"L{rng.randrange(labels)}" for v in ids}, edges)
+
+
+class TestScoreOnMasks:
+    """score counts on the adjacency masks; the edge-set count is the
+    oracle, on graphs dense and sparse, with and without self-loops, for
+    matchings from empty to the largest."""
+
+    @pytest.mark.parametrize(
+        "kind, nodes, labels, density",
+        [
+            ("path-closure", 20, 3, 0.5),
+            ("path-closure", 80, 6, 0.5),
+            ("wso", 40, 4, 0.1),
+            ("wso", 200, 4, 0.02),
+        ],
+    )
+    def test_generated_pairs(self, kind, nodes, labels, density):
+        rng = random.Random(nodes)
+        g, g2 = seeded_pair(kind, nodes, labels, density, 0)
+        for phi in random_matchings(g, g2, rng, 6):
+            got = score(g, g2, NodeMatching(tuple(phi.items())))
+            assert got == score_by_edge_set(g, g2, phi)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_self_loops_and_two_cycles(self, seed):
+        rng = random.Random(seed)
+        g = loopy_digraph(rng, 12, 2, 0.3)
+        g2 = loopy_digraph(rng, 14, 2, 0.3)
+        assert any(u == v for u, v in g.edges)
+        assert any(u != v and (v, u) in g.edge_set for u, v in g.edges)
+        for phi in random_matchings(g, g2, rng, 6):
+            got = score(g, g2, NodeMatching(tuple(phi.items())))
+            assert got == score_by_edge_set(g, g2, phi)
 
 
 class TestLabelBudget:
@@ -576,6 +640,35 @@ class TestOrderSearch:
             index, out, inn = graph.adjacency_masks
             assert type(out) is type(inn) is tuple
             assert graph.adjacency_masks == _adjacency_masks(graph)
+
+
+# SHA-256 over repr of every outcome of one solver on one instance kind,
+# over the cells of its sizes x labels (2, 3) x density (0.3, 0.5) x seed
+# (0, 2).  They pin value, witness and solver of every cell, so a change to
+# how the search computes its masks must leave each outcome as it was.
+SEARCH_DIGESTS = {
+    ("wso", "alg1", (6, 7, 8, 9, 10)):
+        "3f8336f3ed5150c0be1577dc7d931d09585ec5615eaeaab56cb266fecfb0ccae",
+    ("closure", "alg1", (6, 7, 8, 9, 10)):
+        "2b5ef988d102bdf6511b168fcc649a25154e39d62218c933198cdac46df301ae",
+    ("closure", "alg2", (6, 7, 8, 9, 10)):
+        "a3f21f706ceae3a3bc4d94f1d3a60fa852b1fb11e0ce9b643ca5eb28b12bad59",
+    ("path-closure", "alg1", (8, 10, 12)):
+        "ded2430642600c878befa491dc8aca01e7f99cb674312af64702cb8f5c1cc2b0",
+    ("path-closure", "alg2", (8, 10, 12, 14, 16)):
+        "4cc59a8fb6c98ffd1cb6b33cc60ca74cc286c449281504ba933338423a79222d",
+    ("path-closure", "alg3", (8, 10, 12, 14, 16)):
+        "f21aee20d7ea3c22147d687d70e5c991b147ea11221777d45adb5000d9621927",
+}
+
+
+@pytest.mark.parametrize("kind, solver, sizes", SEARCH_DIGESTS)
+def test_search_outcomes_are_pinned(kind, solver, sizes):
+    solve = {"alg1": dmces_alg1, "alg2": dmces_alg2, "alg3": dmces_alg3}[solver]
+    digest = hashlib.sha256()
+    for nodes, labels, density, seed in itertools.product(sizes, (2, 3), (0.3, 0.5), (0, 2)):
+        digest.update(repr(solve(*seeded_pair(kind, nodes, labels, density, seed))).encode())
+    assert digest.hexdigest() == SEARCH_DIGESTS[kind, solver, sizes]
 
 
 class TestWitnessCheck:
