@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable
 
-from .core import Edge, LabeledDigraph, PosetDigraph, UndirectedGraph, _bits
+from .core import Edge, LabeledDigraph, PosetDigraph, UndirectedGraph, _bits, _transpose
 from .isomorphism import MISSING, require_same_kind
 from .line_digraph import ExtendedLineDigraph
 from .solvers import DmcesOutcome, NodeMatching, Solver, _outcome, _require
@@ -253,7 +253,8 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
     n = len(nodes)
     degrees = [mask.bit_count() for mask in adj]
     order = sorted(range(n), key=degrees.__getitem__, reverse=True)
-    radj = _relabel(adj, order)
+    # adj is symmetric, so its transpose in this order is adj relabelled
+    radj = _transpose(adj, order)
     pos = [0] * n
     for p, v in enumerate(order):
         pos[v] = p
@@ -280,20 +281,6 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
         cand &= radj[p]
         need -= 1
     return frozenset(witness)
-
-
-def _relabel(adj: tuple[int, ...], order: list[int]) -> tuple[int, ...]:
-    """The neighbour masks with vertex ``order[p]`` renamed ``p``: bit ``q``
-    of mask ``p`` is bit ``order[q]`` of mask ``order[p]``.
-
-    The masks are written out as one string of binary rows, last position
-    first, and read back by column: by symmetry, column ``order[q]`` read
-    over the rows is mask ``q``.  Every step is a C-level string or integer
-    operation, one per vertex."""
-    n = len(order)
-    width = f"0{n}b"
-    rows = "".join([format(adj[v], width) for v in reversed(order)])
-    return tuple([int(rows[n - 1 - v :: n], 2) for v in order])
 
 
 def _greedy_clique(adj: tuple[int, ...]) -> tuple[int, int]:

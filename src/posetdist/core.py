@@ -10,13 +10,16 @@ Every graph routine here (the structural report, topological order,
 transitive closure and reduction, poset construction, ancestors and line
 graphs) works on the graph's own adjacency, mostly as one out- and one
 in-neighbour bitmask per node; the package needs nothing beyond the
-standard library.  A graph caches what these routines derive from it: the
-masks, the skip skeleton, the structural report and the topological order.
-The skip skeleton keeps, per node, only the out-neighbours that the
-closure test had to visit; on a transitively closed DAG every edge is a
-path in it, so the chain test and the topological order work on it
-instead of on every edge.  The constructor checks the whole edge list at
-once and loops only to name a bad edge.
+standard library.  One pass of the constructor over the edges builds the
+masks and checks the edges: an endpoint that is not declared fails its
+index lookup there, and a repeated edge shows as fewer mask bits than
+edges.  Graphs derived from masks (closure, reduction, the poset build)
+are built straight from their out-masks and skip that pass.  A graph
+caches what these routines derive from it: the skip skeleton, the
+structural report and the topological order.  The skip skeleton keeps,
+per node, only the out-neighbours that the closure test had to visit; on
+a transitively closed DAG every edge is a path in it, so the chain test
+and the topological order work on it instead of on every edge.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ class LabeledDigraph:
         (the edge container has set semantics); the first occurrence fixes
         iteration order.
 
+    One pass over the edges builds the neighbour bitmasks
+    (``adjacency_masks``) and checks the edges: an entry that is no pair
+    fails to unpack (ValueError), an unhashable endpoint fails its lookup
+    (TypeError), and an undeclared one raises a ValueError naming the
+    first bad edge.
+
     Self-loops and 2-cycles are representable; they are reported (not
     rejected) by :func:`validate_properties` and rejected only by the
     operations whose contracts require their absence.
@@ -65,6 +74,15 @@ class LabeledDigraph:
     nodes: tuple[NodeId, ...]
     node_labels: dict[NodeId, str]
     edges: tuple[Edge, ...]
+    #: ``(index, out, inn)``: the position of every node in ``nodes``, and
+    #: one out- and one in-neighbour bitmask per node, as tuples.  Bit
+    #: ``j`` of ``out[i]`` is set when the graph has the edge
+    #: ``nodes[i] -> nodes[j]``, and then bit ``i`` of ``inn[j]`` is set
+    #: too.  Built with the graph; validation and the order searches of
+    #: :mod:`posetdist.solvers` only read it.
+    adjacency_masks: tuple[dict[NodeId, int], tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(
         self,
@@ -73,23 +91,33 @@ class LabeledDigraph:
         edges: Iterable[tuple[NodeId, NodeId]],
     ):
         node_tup = tuple(nodes)
-        node_set = set(node_tup)
-        if len(node_set) != len(node_tup):
+        n = len(node_tup)
+        index = dict(zip(node_tup, range(n)))
+        if len(index) != n:
             raise ValueError("duplicate node ids")
         labels = {v: node_labels[v] for v in node_tup}  # KeyError = missing label
-        # the whole edge list is deduplicated and checked at once; the loop
-        # runs only to name the first bad edge (one that is no pair fails
-        # to unpack there)
-        edge_map = dict.fromkeys(map(tuple, edges))
-        if set(map(len, edge_map)) - {2} or not node_set.issuperset(
-            chain.from_iterable(edge_map)
-        ):
-            for u, v in edge_map:
-                if u not in node_set or v not in node_set:
-                    raise ValueError(f"edge ({u!r}, {v!r}) references an undeclared node")
-        object.__setattr__(self, "nodes", node_tup)
-        object.__setattr__(self, "node_labels", labels)
-        object.__setattr__(self, "edges", tuple(edge_map))
+        pairs = list(map(tuple, edges))
+        bit = [1 << i for i in range(n)]
+        out = [0] * n
+        inn = [0] * n
+        try:
+            for u, v in pairs:
+                i = index[u]
+                j = index[v]
+                out[i] |= bit[j]
+                inn[j] |= bit[i]
+        except KeyError:
+            # an undeclared endpoint: walk again to name the first bad edge
+            for u, v in pairs:
+                if u not in index or v not in index:
+                    raise ValueError(
+                        f"edge ({u!r}, {v!r}) references an undeclared node"
+                    ) from None
+        # every distinct edge sets its own bit, so a repeat leaves fewer
+        # bits than pairs
+        if sum(map(int.bit_count, out)) != len(pairs):
+            pairs = dict.fromkeys(pairs)
+        _set_graph(self, node_tup, labels, tuple(pairs), (index, tuple(out), tuple(inn)))
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -113,15 +141,6 @@ class LabeledDigraph:
         for u, v in self.edges:
             adj[v].append(u)
         return {v: tuple(ws) for v, ws in adj.items()}
-
-    @cached_property
-    def adjacency_masks(
-        self,
-    ) -> tuple[dict[NodeId, int], tuple[int, ...], tuple[int, ...]]:
-        """``(index, out, inn)`` from :func:`_adjacency_masks`, built once
-        per graph object and shared by validation and the order searches
-        of :mod:`posetdist.solvers`, which only read it."""
-        return _adjacency_masks(self)
 
     @cached_property
     def skeleton(self) -> tuple[int, ...] | None:
@@ -193,6 +212,27 @@ class LabeledDigraph:
             {mapping[v]: self.node_labels[v] for v in self.nodes},
             [(mapping[u], mapping[v]) for u, v in self.edges],
         )
+
+
+def _set_graph(g: LabeledDigraph, nodes, labels, edges, masks) -> None:
+    """Set the fields of a new graph ``g``."""
+    object.__setattr__(g, "nodes", nodes)
+    object.__setattr__(g, "node_labels", labels)
+    object.__setattr__(g, "edges", edges)
+    object.__setattr__(g, "adjacency_masks", masks)
+
+
+def _masked(g: LabeledDigraph, out: Sequence[int]) -> LabeledDigraph:
+    """The graph on the nodes and labels of ``g`` whose out-masks are
+    ``out``, built straight from them: its edges are read off ``out`` by
+    :func:`_edges` (sorted) and its in-masks are :func:`_transpose` of
+    ``out``.  The edges come from the masks, so there is nothing to check;
+    the graph equals ``LabeledDigraph(g.nodes, g.node_labels, edges)``."""
+    nodes = g.nodes
+    masks = (g.adjacency_masks[0], tuple(out), _transpose(out, range(len(nodes))))
+    h = object.__new__(LabeledDigraph)
+    _set_graph(h, nodes, dict(g.node_labels), tuple(_edges(nodes, out)), masks)
+    return h
 
 
 @dataclass(frozen=True)
@@ -458,36 +498,27 @@ def _image(mask: int, table: Sequence[int]) -> int:
     return image
 
 
-def _adjacency_masks(
-    g: LabeledDigraph,
-) -> tuple[dict[NodeId, int], tuple[int, ...], tuple[int, ...]]:
-    """The position of every node in ``g.nodes``, and one out- and one
-    in-neighbour bitmask per node: bit ``j`` of ``out[i]`` is set when
-    ``g`` has the edge ``nodes[i] -> nodes[j]``, and then bit ``i`` of
-    ``inn[j]`` is set too.  Built afresh on every call; a graph caches its
-    own as ``g.adjacency_masks``."""
-    index = {v: i for i, v in enumerate(g.nodes)}
-    out = [0] * len(index)
-    inn = [0] * len(index)
-    for u, v in g.edges:
-        i, j = index[u], index[v]
-        out[i] |= 1 << j
-        inn[j] |= 1 << i
-    return index, tuple(out), tuple(inn)
-
-
 def _descendants(out: Sequence[int], inn: Sequence[int]) -> list[int]:
     """Mask of the nodes reachable from each node by a path of one or more
     edges.  A node on a cycle, a self-loop included, has its own bit.
 
-    The nodes in Kahn's order take the OR over their out-neighbours, in
-    reverse.  Kahn leaves out every node that a cycle reaches, and every
-    descendant of such a node is left out too, so on a cyclic graph each
-    node first gets its mask by a direct search.
+    On a DAG the masks are taken along Kahn's order
+    (:func:`_descendants_along`).  Kahn leaves out every node that a cycle
+    reaches, so on a cyclic graph each node gets its mask by a direct
+    search instead.
     """
     n = len(out)
     order = _peel(out, inn, (1 << n) - 1)[0]
-    desc = [0] * n if len(order) == n else [_reach(out, o) for o in out]
+    if len(order) < n:
+        return [_reach(out, o) for o in out]
+    return _descendants_along(out, order)
+
+
+def _descendants_along(out: Sequence[int], order: Sequence[int]) -> list[int]:
+    """The descendant masks of a DAG with out-masks ``out``, given one of
+    its topological orders: in reverse order, each node takes the OR over
+    its out-neighbours' masks, which are final by then."""
+    desc = [0] * len(out)
     for i in reversed(order):
         desc[i] = out[i] | _union(desc, out[i])
     return desc
@@ -584,8 +615,8 @@ def build_poset_digraph(
             raise ValueError(f"relation ({p!r}, {q!r}) references an undeclared element")
         if p != q:
             pairs.add((p, q))
-    labels = dict(elems)
-    _, out, inn = _adjacency_masks(LabeledDigraph(ids, labels, pairs))
+    related = LabeledDigraph(ids, dict(elems), pairs)
+    _, out, inn = related.adjacency_masks
     desc = _descendants(out, inn)
     for i, d in enumerate(desc):
         if d >> i & 1:
@@ -593,10 +624,9 @@ def build_poset_digraph(
             p = ids[i]
             q = min(ids[j] for j in _bits(out[i]) if desc[j] >> i & 1)
             raise AntisymmetryViolation(f"{p!r} <= {q!r} and {q!r} <= {p!r}")
-    edges = _edges(ids, desc)
-    if not edges:
+    if not any(desc):
         raise DegeneratePoset("order relation yields no edges")
-    g = LabeledDigraph(ids, labels, edges)
+    g = _masked(related, desc)
     if not g.report.is_weakly_connected:
         raise NotWeaklyConnected("order relation does not connect all elements")
     return PosetDigraph(g)
@@ -682,7 +712,7 @@ def transitive_closure(g: LabeledDigraph) -> LabeledDigraph:
     """Add (u, w) for every directed path u -> ... -> w.  Edges of the
     result are emitted in sorted order, so equal closures compare equal."""
     _, desc = _dag_masks(g, "transitive closure")
-    return LabeledDigraph(g.nodes, g.node_labels, _edges(g.nodes, desc))
+    return _masked(g, desc)
 
 
 def transitive_reduction(g: LabeledDigraph) -> LabeledDigraph:
@@ -691,7 +721,7 @@ def transitive_reduction(g: LabeledDigraph) -> LabeledDigraph:
     # on a DAG no node is its own descendant, so (u, v) is implied by a
     # longer path exactly when v descends from some out-neighbour of u
     covers = [o & ~_union(desc, o) for o in out]
-    return LabeledDigraph(g.nodes, g.node_labels, _edges(g.nodes, covers))
+    return _masked(g, covers)
 
 
 def _dag_masks(g: LabeledDigraph, operation: str) -> tuple[Sequence[int], list[int]]:
@@ -713,6 +743,23 @@ def _edges(nodes, masks: Sequence[int]) -> list[Edge]:
             zip(repeat(u), compress(nodes, _bit_flags(m))) for u, m in zip(nodes, masks)
         )
     )
+
+
+def _transpose(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """The columns of the bit matrix whose rows are ``masks``, with
+    position ``order[p]`` renamed ``p``: bit ``q`` of mask ``p`` is bit
+    ``order[p]`` of ``masks[order[q]]``.  In id order (``order`` =
+    ``range(n)``) the out-masks of a graph give its in-masks; the
+    neighbour masks of an undirected graph are symmetric, so any order
+    gives them relabelled.
+
+    The masks are written out as one string of binary rows, the last of
+    ``order`` first, and read back by column.  Every step is a C-level
+    string or integer operation, one per position."""
+    n = len(order)
+    width = f"0{n}b"
+    rows = "".join([format(masks[v], width) for v in reversed(order)])
+    return tuple([int(rows[n - 1 - v :: n], 2) for v in order])
 
 
 # the binary digits "0" and "1" as the bytes 0 and 1

@@ -15,11 +15,13 @@ indent, non-ASCII as ``\\u`` escapes), so load-then-save is byte-stable.
 
 A JSON file's node list is checked whole, each check one pass in C over
 the list (:func:`_checked_whole`), and its edge list goes as it stands to
-the graph or poset build, which checks every endpoint in one pass.  Only a
-file that fails one of these checks, or has an id, label or endpoint that
-is not a string, is walked entry by entry (:func:`_walk_entries`); the
-walk reads ids, labels and endpoints through ``str()`` and raises a
-:class:`ParseError` naming the first bad entry.
+the graph or poset build.  There one pass over the edges builds the
+graph's neighbour bitmasks and checks the edges: an entry that is no pair
+or has an undeclared endpoint raises ValueError, an unhashable endpoint
+TypeError.  Only a file that fails one of these checks, or has an id,
+label or endpoint that is not a string, is walked entry by entry
+(:func:`_walk_entries`); the walk reads ids, labels and endpoints through
+``str()`` and raises a :class:`ParseError` naming the first bad entry.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ A sample is accepted when it has an edge and is weakly connected, tested
 on the sample itself before any closure: closing a DAG adds edges only
 between nodes that a path already joins, so the closure is weakly
 connected exactly when the sample is.  Only the accepted sample of a
-closure kind is closed.
+closure kind is closed, along the random order its edges were drawn in,
+which is a topological order of the sample.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import random
 from itertools import combinations, compress, repeat, starmap
 from operator import eq, gt, ne
 
-from .core import LabeledDigraph, _weakly_connected, transitive_closure
+from .core import LabeledDigraph, _descendants_along, _masked, _weakly_connected
 from .errors import InfeasibleParameters
 
 KINDS = ("wso", "closure", "path-closure")
@@ -57,13 +58,21 @@ def generate_instance(
     sample = _SAMPLERS[kind]
     ids = _ids(nodes)
     for _ in range(_MAX_ATTEMPTS):
-        g = sample(rng, ids, labels, density)
+        g, order = sample(rng, ids, labels, density)
         if g.edges and _weakly_connected(g):
-            return g if kind == "wso" else transitive_closure(g)
+            return g if order is None else _closed_along(g, order)
     raise InfeasibleParameters(
         f"no weakly connected {kind} instance with nodes={nodes} "
         f"density={density} after {_MAX_ATTEMPTS} attempts"
     )
+
+
+def _closed_along(g: LabeledDigraph, order: list[str]) -> LabeledDigraph:
+    """The transitive closure of the DAG ``g``, given a topological order
+    of it: its descendant masks, taken in reverse ``order``, are the
+    closure's out-masks."""
+    index, out, _ = g.adjacency_masks
+    return _masked(g, _descendants_along(out, list(map(index.__getitem__, order))))
 
 
 def _ids(n: int) -> list[str]:
@@ -83,7 +92,7 @@ def _kept(rng: random.Random, pairs: list, density: float) -> list:
     return list(compress(pairs, map(gt, repeat(density), draws)))
 
 
-def _sample_wso(rng, ids, labels, density) -> LabeledDigraph:
+def _sample_wso(rng, ids, labels, density) -> tuple[LabeledDigraph, None]:
     # a kept pair draws its orientation at once, so the draws interleave
     # and the pairs are walked one by one
     draw = rng.random
@@ -91,17 +100,17 @@ def _sample_wso(rng, ids, labels, density) -> LabeledDigraph:
     for a, b in combinations(ids, 2):
         if draw() < density:
             edges.append((a, b) if draw() < 0.5 else (b, a))
-    return LabeledDigraph(ids, _random_labels(rng, ids, labels), edges)
+    return LabeledDigraph(ids, _random_labels(rng, ids, labels), edges), None
 
 
-def _sample_dag(rng, ids, labels, density) -> LabeledDigraph:
+def _sample_dag(rng, ids, labels, density) -> tuple[LabeledDigraph, list[str]]:
     order = list(ids)
     rng.shuffle(order)
     edges = _kept(rng, list(combinations(order, 2)), density)
-    return LabeledDigraph(ids, _random_labels(rng, ids, labels), edges)
+    return LabeledDigraph(ids, _random_labels(rng, ids, labels), edges), order
 
 
-def _sample_chained_dag(rng, ids, labels, density) -> LabeledDigraph:
+def _sample_chained_dag(rng, ids, labels, density) -> tuple[LabeledDigraph, list[str]]:
     order = list(ids)
     rng.shuffle(order)
     # deal nodes into label classes, then chain each class along the order:
@@ -115,8 +124,9 @@ def _sample_chained_dag(rng, ids, labels, density) -> LabeledDigraph:
     # every pair across two classes, in order, draws once
     across = starmap(ne, combinations(map(node_labels.__getitem__, order), 2))
     pairs = list(compress(combinations(order, 2), across))
-    return LabeledDigraph(ids, node_labels, [*chains, *_kept(rng, pairs, density)])
+    return LabeledDigraph(ids, node_labels, [*chains, *_kept(rng, pairs, density)]), order
 
 
-# the sample of each kind; every kind but wso is closed once accepted
+# the sample of each kind, with the order its edges run along (None for
+# wso); every kind but wso is closed along it once accepted
 _SAMPLERS = {"wso": _sample_wso, "closure": _sample_dag, "path-closure": _sample_chained_dag}

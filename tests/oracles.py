@@ -54,6 +54,19 @@ def labeled_digraph_by_loop(nodes, node_labels, edges):
     return node_tup, labels, tuple(kept)
 
 
+def adjacency_masks_by_edges(g: LabeledDigraph):
+    """What ``g.adjacency_masks`` holds, built edge by edge from
+    ``g.edges``: every node's position in ``g.nodes``, and per node the
+    bits of its out- and its in-neighbours' positions."""
+    index = {v: i for i, v in enumerate(g.nodes)}
+    out = [0] * len(index)
+    inn = [0] * len(index)
+    for u, v in g.edges:
+        out[index[u]] |= 1 << index[v]
+        inn[index[v]] |= 1 << index[u]
+    return index, tuple(out), tuple(inn)
+
+
 def _nx_digraph(g: LabeledDigraph) -> nx.DiGraph:
     nxg = nx.DiGraph()
     nxg.add_nodes_from(g.nodes)

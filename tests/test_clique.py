@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 
 import posetdist.clique as clique_module
+import posetdist.core as core_module
 from posetdist import (
     KindMismatch,
     LabeledDigraph,
@@ -199,7 +200,7 @@ class TestMaxClique:
         by_degree = sorted(range(n), key=degrees.__getitem__, reverse=True)
         shuffled = data.draw(st.permutations(range(n)))
         for order in (by_degree, shuffled):
-            new = clique_module._relabel(adj, order)
+            new = core_module._transpose(adj, order)
             assert len(new) == n
             assert all(
                 (new[p] >> q & 1) == (adj[order[p]] >> order[q] & 1)
@@ -210,7 +211,7 @@ class TestMaxClique:
 
     @pytest.mark.parametrize("adj", [(), (0,)], ids=["empty", "one-vertex"])
     def test_relabel_of_tiny_graphs(self, adj):
-        assert clique_module._relabel(adj, list(range(len(adj)))) == adj
+        assert core_module._transpose(adj, list(range(len(adj)))) == adj
 
     @given(undirected_graphs())
     def test_ids_in_reverse_degree_order(self, g):

@@ -15,6 +15,7 @@ from posetdist import (
     LabeledDigraph,
     NotWeaklyConnected,
     PosetDigraph,
+    PosetDistError,
     PropertyViolation,
     UndirectedGraph,
     build_poset_digraph,
@@ -35,6 +36,7 @@ from conftest import (
     triangle,
 )
 from oracles import (
+    adjacency_masks_by_edges,
     ancestors_by_networkx,
     antisymmetry_pair,
     bfs_closure_edges,
@@ -169,6 +171,94 @@ class TestLabeledDigraph:
         g = LabeledDigraph(ids, labels, iter(edges))
         assert (g.nodes, g.node_labels, g.edges) == expected
         assert all(type(e) is tuple for e in g.edges)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            (("a", "b"), ("a",), ("a", "zz")),
+            (("a", "b"), ("a", "b", "a"), ("zz", "a")),
+            (("a", "b"), ("a", "zz"), ("a",)),
+            (("b", "a"), ("zz", "b"), ("a", "b", "a")),
+        ],
+        ids=["short-then-undeclared", "long-then-undeclared",
+             "undeclared-then-short", "undeclared-then-long"],
+    )
+    def test_the_first_bad_edge_raises_what_the_loop_raises(self, edges):
+        labels = {"a": "x", "b": "x"}
+        with pytest.raises(ValueError) as want:
+            labeled_digraph_by_loop(("a", "b"), labels, edges)
+        with pytest.raises(ValueError) as got:
+            LabeledDigraph(("a", "b"), labels, edges)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_unhashable_endpoint_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            LabeledDigraph(("a", "b"), {"a": "x", "b": "x"}, (("a", "b"), ("a", ["b"])))
+
+    @given(st.data())
+    def test_masks_match_the_edge_by_edge_oracle(self, data):
+        # self-loops, 2-cycles and repeated edges all occur, on 0-7 nodes;
+        # the edges come as a generator of tuples, lists or iterators
+        n = data.draw(st.integers(0, 7))
+        ids = data.draw(st.permutations([f"n{i}" for i in range(n)]))
+        labels = {v: data.draw(st.sampled_from("ab")) for v in ids}
+        edges = []
+        if ids:
+            node = st.sampled_from(ids)
+            edges = data.draw(st.lists(st.tuples(node, node), max_size=3 * n))
+            edges += data.draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+        wrap = data.draw(st.sampled_from((tuple, list, iter)))
+        g = LabeledDigraph(ids, labels, (wrap(e) for e in edges))
+        assert (g.nodes, g.node_labels, g.edges) == labeled_digraph_by_loop(ids, labels, edges)
+        assert g.adjacency_masks == adjacency_masks_by_edges(g)
+        _, out, inn = g.adjacency_masks
+        assert type(out) is type(inn) is tuple
+
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [((), ()), (("a",), ()), (("a",), (("a", "a"),)), (("a",), (("a", "a"), ("a", "a")))],
+        ids=["empty", "one-node", "self-loop", "repeated-self-loop"],
+    )
+    def test_masks_of_tiny_graphs(self, nodes, edges):
+        g = LabeledDigraph(nodes, dict.fromkeys(nodes, "x"), edges)
+        assert g.edges == tuple(dict.fromkeys(edges))
+        assert g.adjacency_masks == adjacency_masks_by_edges(g)
+
+    @given(
+        st.one_of(
+            any_digraphs().map(dag_from),
+            seeded_graphs("path-closure", max_nodes=12),
+            seeded_graphs("closure", max_nodes=10),
+        )
+    )
+    def test_mask_derived_graphs_match_the_checked_build(self, g):
+        # a generated closure is built from its masks too
+        derived = [g, transitive_closure(g), transitive_reduction(g)]
+        elements = [(v, g.node_labels[v]) for v in g.nodes]
+        try:
+            derived.append(build_poset_digraph(elements, g.edges).graph)
+        except PosetDistError:
+            pass  # disconnected or edgeless: the poset build rejects it
+        for h in derived:
+            checked = LabeledDigraph(h.nodes, h.node_labels, h.edges)
+            assert (h.nodes, h.node_labels, h.edges) == (
+                checked.nodes, checked.node_labels, checked.edges
+            )
+            assert h.adjacency_masks == checked.adjacency_masks
+            assert h.report == checked.report
+            assert all(type(e) is tuple for e in h.edges)
+
+    @given(st.data())
+    def test_transpose_reads_the_columns(self, data):
+        # any masks, not only symmetric ones, in id order or shuffled
+        n = data.draw(st.integers(0, 70))
+        masks = [data.draw(st.integers(0, (1 << n) - 1)) for _ in range(n)]
+        order = data.draw(st.sampled_from((list(range(n)), data.draw(st.permutations(range(n))))))
+        columns = core_module._transpose(masks, order)
+        assert columns == tuple(
+            sum((masks[order[q]] >> order[p] & 1) << q for q in range(n)) for p in range(n)
+        )
 
     def test_adjacency_maps(self):
         g = diamond_graph()

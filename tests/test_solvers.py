@@ -33,7 +33,6 @@ from posetdist import (
     untwist,
 )
 from posetdist.bench import _BRUTE_MATCHINGS, matching_count, seeded_pair
-from posetdist.core import _adjacency_masks
 from conftest import (
     budget_pair,
     chain_pair,
@@ -44,6 +43,7 @@ from conftest import (
     triangle,
 )
 from oracles import (
+    adjacency_masks_by_edges,
     best_score_enumerated,
     iter_matchings,
     score_by_definition,
@@ -639,7 +639,7 @@ class TestOrderSearch:
         for graph in (g, g2):
             index, out, inn = graph.adjacency_masks
             assert type(out) is type(inn) is tuple
-            assert graph.adjacency_masks == _adjacency_masks(graph)
+            assert graph.adjacency_masks == adjacency_masks_by_edges(graph)
 
 
 # SHA-256 over repr of every outcome of one solver on one instance kind,
