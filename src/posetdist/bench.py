@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .core import LabeledDigraph
-from .errors import SolverDisagreement
+from .errors import SizeCapExceeded, SolverDisagreement
 from .fileio import graph_to_json
 from .generate import generate_instance
 from .metric import _compat_vertices, closure_flags, solve
@@ -72,19 +72,27 @@ def check_pair(g: LabeledDigraph, g2: LabeledDigraph) -> list[dict]:
     alg1 on at most ``_ALG1_CHAIN_MATCHINGS`` where alg3 runs and at most
     ``_ALG1_MATCHINGS`` elsewhere.  clique runs when the compatibility
     graph has at most ``_CLIQUE_LIMIT`` vertices (see
-    :func:`metric._compat_vertices`).  Raises :class:`SolverDisagreement`,
-    with both graphs as JSON, if any two values differ.
+    :func:`metric._compat_vertices`).  Raises :class:`SizeCapExceeded`,
+    with the matching count and k, when no gate admits any solver, and
+    :class:`SolverDisagreement`, with both graphs as JSON, if any two
+    values differ.
     """
     closures, chains = closure_flags(g, g2)
     n_nodes = max(len(g.nodes), len(g2.nodes))
     count = matching_count(g, g2)
+    k = _compat_vertices(g, g2)
     runs = {
         Solver.BRUTE: n_nodes <= _BRUTE_NODE_CAP and count <= _BRUTE_MATCHINGS,
         Solver.ALG1: count <= (_ALG1_CHAIN_MATCHINGS if chains else _ALG1_MATCHINGS),
         Solver.ALG2: closures,
         Solver.ALG3: chains,
-        Solver.CLIQUE: _compat_vertices(g, g2) <= _CLIQUE_LIMIT,
+        Solver.CLIQUE: k <= _CLIQUE_LIMIT,
     }
+    if not any(runs.values()):
+        raise SizeCapExceeded(
+            f"no solver audits this pair: {count} matchings, "
+            f"k = {k} compatibility vertices"
+        )
     rows: list[dict] = []
     for solver in [s for s in Solver if runs[s]]:
         start = time.perf_counter()

@@ -129,20 +129,6 @@ class LabeledDigraph:
         return dict.fromkeys(self.edges)
 
     @cached_property
-    def out_neighbors(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        adj: dict[NodeId, list[NodeId]] = {v: [] for v in self.nodes}
-        for u, v in self.edges:
-            adj[u].append(v)
-        return {v: tuple(ws) for v, ws in adj.items()}
-
-    @cached_property
-    def in_neighbors(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        adj: dict[NodeId, list[NodeId]] = {v: [] for v in self.nodes}
-        for u, v in self.edges:
-            adj[v].append(u)
-        return {v: tuple(ws) for v, ws in adj.items()}
-
-    @cached_property
     def skeleton(self) -> tuple[int, ...] | None:
         """Per node, the mask of the out-neighbours that the skip test of
         :func:`_skip_skeleton` took, computed once per graph object.  None
@@ -282,14 +268,6 @@ class UndirectedGraph:
         return dict.fromkeys(e for u, v in self.edges for e in ((u, v), (v, u)))
 
     @cached_property
-    def neighbors(self) -> dict[Hashable, tuple]:
-        adj: dict[Hashable, list] = {v: [] for v in self.nodes}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(ws) for v, ws in adj.items()}
-
-    @cached_property
     def adjacency(self) -> tuple[int, ...]:
         """One neighbour bitmask per node, bit ``j`` for ``nodes[j]``."""
         index = {v: i for i, v in enumerate(self.nodes)}
@@ -342,10 +320,12 @@ class PosetDigraph:
             raise CycleDetected("order relation contains a directed cycle")
         if not report.is_transitively_closed:
             raise NotTransitivelyClosed("poset digraph must be transitively closed")
-        if not report.is_weakly_connected:
-            raise NotWeaklyConnected("poset digraph must be weakly connected")
+        # before connectivity: an edgeless graph of two or more nodes is
+        # degenerate first
         if not self.graph.edges:
             raise DegeneratePoset("order relation yields no edges")
+        if not report.is_weakly_connected:
+            raise NotWeaklyConnected("poset digraph must be weakly connected")
 
     @property
     def per_label_path(self) -> bool:
@@ -498,15 +478,21 @@ def _image(mask: int, table: Sequence[int]) -> int:
     return image
 
 
-def _descendants(out: Sequence[int], inn: Sequence[int]) -> list[int]:
-    """Mask of the nodes reachable from each node by a path of one or more
-    edges.  A node on a cycle, a self-loop included, has its own bit.
+def _descendants(g: LabeledDigraph) -> Sequence[int]:
+    """Mask of the nodes reachable from each node of ``g`` by a path of one
+    or more edges.  A node on a cycle, a self-loop included, has its own
+    bit.
 
-    On a DAG the masks are taken along Kahn's order
+    A graph with a skip skeleton (``g.skeleton``) is a closed DAG, so its
+    out-masks are its descendant masks, and no Kahn pass runs.  On any
+    other DAG the masks are taken along Kahn's order
     (:func:`_descendants_along`).  Kahn leaves out every node that a cycle
     reaches, so on a cyclic graph each node gets its mask by a direct
     search instead.
     """
+    _, out, inn = g.adjacency_masks
+    if g.skeleton is not None:
+        return out
     n = len(out)
     order = _peel(out, inn, (1 << n) - 1)[0]
     if len(order) < n:
@@ -591,45 +577,41 @@ def build_poset_digraph(
 ) -> PosetDigraph:
     """Build the digraph of a labeled partial order.
 
-    ``relations`` lists pairs (p, q) meaning p <= q.  Reflexive pairs are
-    stripped, the relation is completed to its transitive closure, and an
-    edge (p, q) is created for every p <= q with p != q.
+    ``relations`` lists pairs (p, q) meaning p <= q.  The relation goes,
+    reflexive pairs included, to :class:`LabeledDigraph`, whose
+    constructor is the one check of element ids and endpoints.  Reflexive
+    pairs are then stripped from its masks, the relation is completed to
+    its transitive closure by :func:`_descendants` (a relation that is
+    already closed is its own closure, and no Kahn pass runs), and an edge
+    (p, q) is created for every p <= q with p != q.  The remaining poset
+    rules are :class:`PosetDigraph`'s own checks.
 
     Raises
     ------
+    ValueError
+        if an element id repeats or a relation names an undeclared element.
     AntisymmetryViolation
         if the closure relates two distinct elements both ways.
-    NotWeaklyConnected
-        if the resulting digraph is not weakly connected.
     DegeneratePoset
         if no edges remain after stripping reflexivity.
+    NotWeaklyConnected
+        if the resulting digraph is not weakly connected.
     """
     elems = list(elements)
-    ids = [e for e, _ in elems]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate element ids")
-    id_set = set(ids)
-    pairs = set()
-    for p, q in relations:
-        if p not in id_set or q not in id_set:
-            raise ValueError(f"relation ({p!r}, {q!r}) references an undeclared element")
-        if p != q:
-            pairs.add((p, q))
-    related = LabeledDigraph(ids, dict(elems), pairs)
-    _, out, inn = related.adjacency_masks
-    desc = _descendants(out, inn)
+    related = LabeledDigraph([e for e, _ in elems], dict(elems), relations)
+    out = related.adjacency_masks[1]
+    if any(o >> i & 1 for i, o in enumerate(out)):
+        related = _masked(related, [o & ~(1 << i) for i, o in enumerate(out)])
+        out = related.adjacency_masks[1]
+    desc = _descendants(related)
     for i, d in enumerate(desc):
         if d >> i & 1:
             # the first element on a cycle, and its smallest successor back
+            ids = related.nodes
             p = ids[i]
             q = min(ids[j] for j in _bits(out[i]) if desc[j] >> i & 1)
             raise AntisymmetryViolation(f"{p!r} <= {q!r} and {q!r} <= {p!r}")
-    if not any(desc):
-        raise DegeneratePoset("order relation yields no edges")
-    g = _masked(related, desc)
-    if not g.report.is_weakly_connected:
-        raise NotWeaklyConnected("order relation does not connect all elements")
-    return PosetDigraph(g)
+    return PosetDigraph(_masked(related, desc))
 
 
 def structure(g: LabeledDigraph) -> UndirectedGraph:
@@ -724,14 +706,13 @@ def transitive_reduction(g: LabeledDigraph) -> LabeledDigraph:
     return _masked(g, covers)
 
 
-def _dag_masks(g: LabeledDigraph, operation: str) -> tuple[Sequence[int], list[int]]:
+def _dag_masks(g: LabeledDigraph, operation: str) -> tuple[Sequence[int], Sequence[int]]:
     """The out-neighbour and descendant masks of ``g``; raises
     CycleDetected when some node is its own descendant."""
-    _, out, inn = g.adjacency_masks
-    desc = _descendants(out, inn)
+    desc = _descendants(g)
     if any(d >> i & 1 for i, d in enumerate(desc)):
         raise CycleDetected(f"{operation} requires an acyclic graph")
-    return out, desc
+    return g.adjacency_masks[1], desc
 
 
 def _edges(nodes, masks: Sequence[int]) -> list[Edge]:

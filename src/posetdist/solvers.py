@@ -51,7 +51,7 @@ from .errors import (
     SizeCapExceeded,
 )
 
-_BRUTE_NODE_CAP = 12  # dmces_bruteforce's default guard against large inputs
+_BRUTE_NODE_CAP = 12  # dmces_bruteforce's guard against large inputs
 
 
 class Solver(str, Enum):
@@ -247,22 +247,21 @@ def _outcome(
 def dmces_bruteforce(
     g: LabeledDigraph | PosetDigraph,
     g2: LabeledDigraph | PosetDigraph,
-    *,
-    node_cap: int = _BRUTE_NODE_CAP,
 ) -> DmcesOutcome:
     """Exhaustive search over every feasible solution, no pruning.
 
     Every node of ``g`` is either skipped or mapped to any unused node of
     ``g2`` with the same label; the best score wins, first-found on ties.
     This is the oracle the pruned solvers are validated against, so it
-    stays deliberately naive; ``node_cap`` guards against accidental use
-    on large inputs.  A :class:`PosetDigraph` is unwrapped, but no
-    structural guard runs: the oracle takes any labeled digraph.
+    stays deliberately naive; a cap of ``_BRUTE_NODE_CAP`` nodes a graph
+    guards against accidental use on large inputs.  A
+    :class:`PosetDigraph` is unwrapped, but no structural guard runs: the
+    oracle takes any labeled digraph.
     """
     g, g2 = (p.graph if isinstance(p, PosetDigraph) else p for p in (g, g2))
-    if len(g.nodes) > node_cap or len(g2.nodes) > node_cap:
+    if len(g.nodes) > _BRUTE_NODE_CAP or len(g2.nodes) > _BRUTE_NODE_CAP:
         raise SizeCapExceeded(
-            f"brute force capped at {node_cap} nodes "
+            f"brute force capped at {_BRUTE_NODE_CAP} nodes "
             f"(got {len(g.nodes)} and {len(g2.nodes)})"
         )
     by_label: dict[str, list[str]] = {

@@ -226,10 +226,18 @@ def compatibility_edges_by_definition(g, g2) -> tuple[list, list]:
     return pairs, edges
 
 
+def out_lists(g: LabeledDigraph) -> dict[str, list[str]]:
+    """Each node's out-neighbours, in edge order, read off ``g.edges``."""
+    out: dict[str, list[str]] = {v: [] for v in g.nodes}
+    for u, v in g.edges:
+        out[u].append(v)
+    return out
+
+
 def bfs_closure_edges(g: LabeledDigraph) -> set[tuple[str, str]]:
     """Transitive closure as reachability: edge (u, v) iff v is reachable
     from u in one or more steps, u != v."""
-    out = {v: list(ws) for v, ws in g.out_neighbors.items()}
+    out = out_lists(g)
     closure: set[tuple[str, str]] = set()
     for start in g.nodes:
         seen = set()
@@ -250,8 +258,9 @@ def antisymmetry_pair(g: LabeledDigraph):
     lies on a cycle, with its smallest successor that reaches back to it.
     None when the relation has no cycle."""
     closure = bfs_closure_edges(g)
+    out = out_lists(g)
     for p in g.nodes:
-        for q in sorted(g.out_neighbors[p]):
+        for q in sorted(out[p]):
             if q != p and (q, p) in closure:
                 return p, q
     return None

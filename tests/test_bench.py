@@ -4,7 +4,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from posetdist import BenchConfig, SolverDisagreement, bench_harness, rows_to_csv
+from posetdist import (
+    BenchConfig,
+    SizeCapExceeded,
+    SolverDisagreement,
+    bench_harness,
+    rows_to_csv,
+)
 from posetdist.bench import check_pair, matching_count, seeded_pair
 from posetdist.generate import KINDS
 from posetdist.metric import closure_flags
@@ -109,6 +115,15 @@ class TestHarness:
         assert matching_count(*under) <= bench_module._ALG1_MATCHINGS < matching_count(*over)
         assert solvers_of(check_pair(*under)) == ["alg1", "clique"]
         assert solvers_of(check_pair(*over)) == ["clique"]
+
+    def test_a_pair_no_gate_admits_is_an_error(self):
+        # an open pair with 7.7e16 matchings and k = 2246: brute, alg1 and
+        # clique are all gated out, and alg2 and alg3 do not apply
+        g, g2 = seeded_pair("wso", 20, 2, 0.5, 0)
+        with pytest.raises(
+            SizeCapExceeded, match="76893829632166993 matchings, k = 2246 compat"
+        ):
+            check_pair(g, g2)
 
     def test_disagreement_aborts_and_names_both_values(self, monkeypatch):
         # force one solver to lie; the harness must dump the pair and raise

@@ -262,8 +262,9 @@ class TestLabeledDigraph:
 
     def test_adjacency_maps(self):
         g = diamond_graph()
-        assert g.out_neighbors["u"] == ("v", "x")
-        assert g.in_neighbors["w"] == ("v", "x")
+        index, out, inn = g.adjacency_masks
+        # u's out-neighbours and w's in-neighbours are both v and x
+        assert out[index["u"]] == inn[index["w"]] == 0b1010
         assert g.label_classes == {"a": ("u", "v", "w", "x")}
 
     def test_label_indices_and_masks(self):
@@ -295,7 +296,7 @@ class TestUndirectedGraph:
 
     def test_neighbors_symmetric(self):
         g = UndirectedGraph(("a", "b", "c"), (("a", "b"), ("b", "c")))
-        assert set(g.neighbors["b"]) == {"a", "c"}
+        assert g.adjacency == (0b010, 0b101, 0b010)
 
 
 class TestValidateProperties:
@@ -518,6 +519,15 @@ class TestBuildPoset:
         with pytest.raises(PropertyViolation):
             PosetDigraph(LabeledDigraph(("a",), {"a": "x"}, (("a", "a"),)))
 
+    def test_wrapper_reports_an_edgeless_graph_as_degenerate(self):
+        # no edges is checked before connectivity
+        with pytest.raises(DegeneratePoset):
+            PosetDigraph(LabeledDigraph(("a", "b"), dict.fromkeys("ab", "x"), ()))
+
+    def test_reflexive_pair_on_an_undeclared_element_rejected(self):
+        with pytest.raises(ValueError, match="undeclared"):
+            build_poset_digraph([("a", "x"), ("b", "x")], [("a", "b"), ("z", "z")])
+
     @pytest.mark.parametrize(
         "ids, relations, pair",
         [
@@ -554,12 +564,16 @@ class TestBuildPoset:
         assert expected is None
         assert p.graph.edges == tuple(sorted(bfs_closure_edges(g)))
 
-    @given(shuffled_dags(), st.data())
-    def test_edges_match_networkx_closure(self, g, data):
+    @given(shuffled_dags(), st.booleans(), st.data())
+    def test_edges_match_networkx_closure(self, g, closed, data):
+        # the relation as drawn, or already closed (as a closure file's
+        # edges come), in shuffled order with reflexive pairs
+        closure = transitive_closure(g)
         nodes = st.sampled_from(g.nodes) if g.nodes else st.nothing()
         loops = [(v, v) for v in data.draw(st.lists(nodes))]
         elements = [(v, g.node_labels[v]) for v in g.nodes]
-        relations = data.draw(st.permutations([*g.edges, *loops]))
+        edges = closure.edges if closed else g.edges
+        relations = data.draw(st.permutations([*edges, *loops]))
         expected = closure_by_networkx(g)
         if not expected:
             with pytest.raises(DegeneratePoset):
@@ -568,7 +582,9 @@ class TestBuildPoset:
             with pytest.raises(NotWeaklyConnected):
                 build_poset_digraph(elements, relations)
         else:
-            assert list(build_poset_digraph(elements, relations).graph.edges) == expected
+            built = build_poset_digraph(elements, relations).graph
+            assert list(built.edges) == expected
+            assert built.edges == closure.edges
 
     @given(loopfree_digraphs())
     def test_output_always_closed_and_acyclic(self, g):
@@ -688,12 +704,20 @@ class TestOrderUtilities:
         dag = dag_from(g)
         assert set(transitive_closure(dag).edges) == bfs_closure_edges(dag)
 
-    @given(shuffled_dags())
-    def test_closure_and_reduction_match_networkx(self, g):
+    @given(shuffled_dags(), st.data())
+    def test_closure_and_reduction_match_networkx(self, g, data):
         closed = transitive_closure(g)
         assert list(closed.edges) == closure_by_networkx(g)
         assert list(transitive_reduction(g).edges) == reduction_by_networkx(g)
         assert list(transitive_reduction(closed).edges) == reduction_by_networkx(closed)
+        # a closure built from its edges in shuffled order: both operations
+        # read its out-masks as its descendants
+        given_closed = LabeledDigraph(
+            g.nodes, g.node_labels, data.draw(st.permutations(closed.edges))
+        )
+        assert given_closed.skeleton is not None
+        assert list(transitive_closure(given_closed).edges) == closure_by_networkx(g)
+        assert list(transitive_reduction(given_closed).edges) == reduction_by_networkx(g)
 
     @given(loopfree_digraphs())
     def test_closure_idempotent_and_reduction_inverts(self, g):

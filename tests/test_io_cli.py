@@ -699,6 +699,13 @@ class TestCliOtherCommands:
         assert rows
         assert all(r.endswith("True") for r in rows)
 
+    def test_bench_exits_2_on_a_pair_no_solver_audits(self, capsys):
+        argv = "bench --kind wso --sizes 20 --trials 1 --labels 2 --density 0.5 --seed 0"
+        assert cli_main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "no solver audits this pair" in err
+
     def test_readme_bench_grids_run(self, capsys):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         commands = re.findall(r"^posetdist (bench --kind .*)$", readme.read_text(), re.M)

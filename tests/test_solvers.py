@@ -245,12 +245,14 @@ class TestBruteforce:
         assert dmces_bruteforce(g, h).value == 0
 
     def test_node_cap(self):
-        g, g2 = budget_pair()
-        with pytest.raises(SizeCapExceeded):
-            dmces_bruteforce(g, g2, node_cap=3)
-        small = two_chain(("a", "b"))
-        with pytest.raises(SizeCapExceeded):
-            dmces_bruteforce(small, g2, node_cap=3)
+        # 13 nodes, one over the cap on either side; the cap is checked
+        # before any search
+        ids = [f"v{i:02d}" for i in range(13)]
+        big = LabeledDigraph(ids, dict.fromkeys(ids, "a"), zip(ids, ids[1:]))
+        small = two_chain(("a", "a"))
+        for pair in ((big, small), (small, big)):
+            with pytest.raises(SizeCapExceeded, match="capped at 12 nodes"):
+                dmces_bruteforce(*pair)
 
     @given(seeded_graphs("wso", 3, 6), seeded_graphs("wso", 3, 6))
     @settings(max_examples=40)
