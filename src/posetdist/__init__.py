@@ -21,6 +21,7 @@ from .clique import (
     dmces_via_clique,
     max_clique,
     mcis,
+    mcis_size,
 )
 from .core import (
     LabeledDigraph,
@@ -153,6 +154,7 @@ __all__ = [
     "matched_edges",
     "max_clique",
     "mcis",
+    "mcis_size",
     "poset_distance",
     "predecessors",
     "respects_order_on_labels",

@@ -14,7 +14,7 @@ from functools import cache, partial
 
 from . import fileio
 from .bench import BenchConfig, bench_harness, rows_to_csv
-from .clique import mcis
+from .clique import mcis, mcis_size
 from .errors import PosetDistError
 from .generate import KINDS, generate_instance
 from .line_digraph import extended_line_digraph
@@ -79,11 +79,11 @@ def _cmd_distance(args) -> int:
 def _cmd_mcis(args) -> int:
     g = fileio.load_graph(args.first)
     g2 = fileio.load_graph(args.second)
-    size, pairs = mcis(g, g2)
     if args.json:
+        size, pairs = mcis(g, g2)
         print(json.dumps({"mcis": size, "pairs": [[a, b] for a, b in sorted(pairs)]}))
     else:
-        print(size)
+        print(mcis_size(g, g2))
     return 0
 
 

@@ -56,7 +56,13 @@ Such a map keeps every endpoint equality, hence every ELD node label and
 every HT/TT/HH relation among the edges it realizes, so this implies the
 quadratic isomorphism check (:func:`_check_isomorphism`) that
 :func:`mcis` runs on every other pair of graphs.  The same check covers
-``mcis`` on two sourced line digraphs, and so every ``d_n`` witness there.
+``mcis`` on two sourced line digraphs.
+
+:func:`mcis_size`, the value path of ``d_n`` and of the CLI's plain
+``mcis``, takes the same route and checks its clique the same way, but
+stops after :func:`max_clique`'s size phase: it reads back the maximum
+clique that the search found, not the canonical one, so it runs one
+search and no witness walk.
 """
 
 from __future__ import annotations
@@ -226,20 +232,8 @@ def _edge_classes(g: LabeledDigraph, own: dict, full: int) -> dict:
 
 def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
     """Exact maximum clique by branch and bound over the neighbour masks
-    of ``g`` (an :class:`UndirectedGraph` or a :class:`CompatibilityGraph`).
-
-    The search runs on the vertices relabelled by non-increasing degree
-    (ties by index), the initial order of Tomita-style coloring branch and
-    bound.  At every branch point the candidates are greedily colored into
-    independent classes, one bitmask each, in the bit-parallel way of BBMC
-    (San Segundo et al., 2011; see :func:`_color_classes`).  ``nadj``, the
-    complements of the closed neighbourhoods that the coloring reads, is
-    built once here and serves the size phase and every yes/no search of
-    the witness walk.  A partial clique extends only through the classes
-    whose color exceeds the floor, the incumbent's size less its own (see
-    :func:`_search`), and branching works down from the highest color.
-    The size phase starts from a greedy clique as its incumbent, so a graph
-    whose greedy clique meets the root color bound needs no branching.
+    of ``g`` (an :class:`UndirectedGraph` or a :class:`CompatibilityGraph`):
+    the size phase (:func:`_size_phase`), then the witness walk.
 
     The witness is canonical: the lexicographically smallest maximum clique
     in the node order of ``g``, whatever the relabel.  It walks the vertices
@@ -247,23 +241,16 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
     vertices chosen so far (first the size phase's whole clique); a vertex
     in that rest is taken at once, any other only when a yes/no search
     finds a clique that completes the choice, which then becomes the rest
-    held.
+    held.  Every yes/no search reuses the size phase's ``nadj``.
     """
-    nodes, adj = g.nodes, g.adjacency
-    n = len(nodes)
-    degrees = [mask.bit_count() for mask in adj]
-    order = sorted(range(n), key=degrees.__getitem__, reverse=True)
-    # adj is symmetric, so its transpose in this order is adj relabelled
-    radj = _transpose(adj, order)
+    nodes = g.nodes
+    order, radj, nadj, need, known = _size_phase(g.adjacency)
+    n = len(order)
     pos = [0] * n
     for p, v in enumerate(order):
         pos[v] = p
-    full = (1 << n) - 1
-    nadj = tuple([full ^ mask ^ 1 << p for p, mask in enumerate(radj)])
-
-    need, known = _search(radj, nadj, full, _greedy_clique(radj), n)
     witness = []
-    cand = full
+    cand = (1 << n) - 1
     for v in range(n):
         if not need:
             break
@@ -281,6 +268,47 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
         cand &= radj[p]
         need -= 1
     return frozenset(witness)
+
+
+def _some_max_clique(g: UndirectedGraph | CompatibilityGraph) -> list:
+    """A maximum clique of ``g``, not the canonical one: the size phase's
+    clique (:func:`_size_phase`) mapped back through the relabel, with no
+    witness walk.  For the callers that only need a clique's size, and
+    check the clique they get."""
+    nodes = g.nodes
+    order, _, _, _, clique = _size_phase(g.adjacency)
+    return [nodes[order[p]] for p in _bits(clique)]
+
+
+def _size_phase(
+    adj: tuple[int, ...],
+) -> tuple[list[int], tuple[int, ...], tuple[int, ...], int, int]:
+    """The size phase of :func:`max_clique` on the neighbour masks ``adj``,
+    as ``(order, radj, nadj, size, clique)``.
+
+    The search runs on the vertices relabelled by non-increasing degree
+    (ties by index), the initial order of Tomita-style coloring branch and
+    bound: position ``p`` is vertex ``order[p]``, ``radj`` holds the masks
+    relabelled, and ``nadj`` the complements of their closed
+    neighbourhoods, which the coloring reads.  At every branch point the
+    candidates are greedily colored into independent classes, one bitmask
+    each, in the bit-parallel way of BBMC (San Segundo et al., 2011; see
+    :func:`_color_classes`).  A partial clique extends only through the
+    classes whose color exceeds the floor, the incumbent's size less its
+    own (see :func:`_search`), and branching works down from the highest
+    color.  The search starts from a greedy clique as its incumbent, so a
+    graph whose greedy clique meets the root color bound needs no
+    branching.  ``clique`` is the mask, over positions, of the maximum
+    clique of ``size`` vertices that the search found."""
+    n = len(adj)
+    degrees = [mask.bit_count() for mask in adj]
+    order = sorted(range(n), key=degrees.__getitem__, reverse=True)
+    # adj is symmetric, so its transpose in this order is adj relabelled
+    radj = _transpose(adj, order)
+    full = (1 << n) - 1
+    nadj = tuple([full ^ mask ^ 1 << p for p, mask in enumerate(radj)])
+    size, clique = _search(radj, nadj, full, _greedy_clique(radj), n)
+    return order, radj, nadj, size, clique
 
 
 def _greedy_clique(adj: tuple[int, ...]) -> tuple[int, int]:
@@ -380,8 +408,8 @@ def _search(
 def mcis(g, g2) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:
     """Maximum common node-induced subgraph size of two graphs of the same
     type, via the maximum clique of their compatibility graph, with the
-    clique's pairs.  Raises :class:`KindMismatch` on two graphs of
-    different types.
+    clique's pairs: the canonical witness of :func:`max_clique`.  Raises
+    :class:`KindMismatch` on two graphs of different types.
 
     Two extended line digraphs that both carry their (simple, oriented)
     source take the clique route's core on the sources (see
@@ -391,15 +419,28 @@ def mcis(g, g2) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:
     other pair is searched through :func:`compatibility_graph`, and its
     pairs are checked to be an isomorphism of the subgraphs they induce
     before reporting."""
+    return _mcis(g, g2, max_clique)
+
+
+def mcis_size(g, g2) -> int:
+    """The size that :func:`mcis` returns, by the same route and with the
+    same check of the clique found, but without the witness walk: the
+    clique is the one the size phase found (:func:`_some_max_clique`)."""
+    return _mcis(g, g2, _some_max_clique)[0]
+
+
+def _mcis(g, g2, clique_of) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:
+    """:func:`mcis` with the clique search ``clique_of``, which returns the
+    vertices of a maximum clique of a compatibility graph."""
     if (
         type(g) is type(g2) is ExtendedLineDigraph
         and g.source is not None
         and g2.source is not None
     ):
-        pairs, _ = _edge_pair_clique(g.source, g2.source)
+        pairs, _ = _edge_pair_clique(g.source, g2.source, clique_of)
         return len(pairs), pairs
     comp = compatibility_graph(g, g2)
-    pairs = frozenset(comp.pair(i) for i in max_clique(comp))
+    pairs = frozenset(comp.pair(i) for i in clique_of(comp))
     _check_isomorphism(g, g2, pairs)
     return len(pairs), pairs
 
@@ -423,16 +464,17 @@ def _check_isomorphism(g, g2, pairs) -> None:
 
 
 def _edge_pair_clique(
-    g: LabeledDigraph, g2: LabeledDigraph
+    g: LabeledDigraph, g2: LabeledDigraph, clique_of
 ) -> tuple[frozenset[tuple[Edge, Edge]], DmcesOutcome]:
     """The clique route's core on two simple, oriented digraphs: the
-    maximum clique of :func:`_edge_pair_graph`, as its set of edge pairs,
-    and the outcome of the node map that their endpoints define (checked
-    by ``_outcome``).  The map is consistent and injective for any clique,
-    since shared endpoints on one side force the same sharing on the
-    other; a clique whose endpoints disagree is an internal error."""
+    maximum clique of :func:`_edge_pair_graph` that ``clique_of`` finds,
+    as its set of edge pairs, and the outcome of the node map that their
+    endpoints define (checked by ``_outcome``).  The map is consistent and
+    injective for any clique, since shared endpoints on one side force the
+    same sharing on the other; a clique whose endpoints disagree is an
+    internal error."""
     comp = _edge_pair_graph(g, g2)
-    pairs = frozenset(comp.pair(i) for i in max_clique(comp))
+    pairs = frozenset(comp.pair(i) for i in clique_of(comp))
     node_map: dict[str, str] = {}
     for (u, v), (u2, v2) in pairs:
         for s, t in ((u, u2), (v, v2)):
@@ -454,4 +496,4 @@ def dmces_via_clique(
     endpoints.  The witness is checked as every solver's is (see the
     module docstring and :func:`_edge_pair_clique`)."""
     ga, gb = _require(g, g2)
-    return _edge_pair_clique(ga, gb)[1]
+    return _edge_pair_clique(ga, gb, max_clique)[1]

@@ -28,7 +28,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, compress, repeat
-from operator import or_
+from operator import and_, or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -136,7 +136,7 @@ class LabeledDigraph:
         that is, unless it is a transitively closed DAG; every edge of such
         a graph is a path in its skeleton."""
         _, out, inn = self.adjacency_masks
-        if any(a & b for a, b in zip(out, inn)):
+        if not _is_oriented(out, inn):
             return None
         return _skip_skeleton(out)
 
@@ -213,11 +213,19 @@ def _masked(g: LabeledDigraph, out: Sequence[int]) -> LabeledDigraph:
     ``out``, built straight from them: its edges are read off ``out`` by
     :func:`_edges` (sorted) and its in-masks are :func:`_transpose` of
     ``out``.  The edges come from the masks, so there is nothing to check;
-    the graph equals ``LabeledDigraph(g.nodes, g.node_labels, edges)``."""
+    the graph equals ``LabeledDigraph(g.nodes, g.node_labels, edges)``.
+    When ``out`` is the out-masks of ``g`` itself, the graph takes the
+    in-masks of ``g`` and, if ``g`` has computed it, its skip skeleton,
+    which depends on the masks alone."""
     nodes = g.nodes
-    masks = (g.adjacency_masks[0], tuple(out), _transpose(out, range(len(nodes))))
+    index, own_out, own_inn = g.adjacency_masks
+    same = out is own_out
+    inn = own_inn if same else _transpose(out, range(len(nodes)))
     h = object.__new__(LabeledDigraph)
+    masks = (index, tuple(out), inn)
     _set_graph(h, nodes, dict(g.node_labels), tuple(_edges(nodes, out)), masks)
+    if same and "skeleton" in vars(g):
+        vars(h)["skeleton"] = g.skeleton
     return h
 
 
@@ -357,7 +365,7 @@ def validate_properties(g: LabeledDigraph) -> PropertyReport:
     n = len(index)
     everything = (1 << n) - 1
     skeleton = g.skeleton
-    oriented = skeleton is not None or not any(a & b for a, b in zip(out, inn))
+    oriented = skeleton is not None or _is_oriented(out, inn)
     classes = g.label_masks.values()
     if skeleton is not None:
         closed = acyclic = True
@@ -374,12 +382,25 @@ def validate_properties(g: LabeledDigraph) -> PropertyReport:
         per_label = all(_unique_order(out, inn, c) for c in classes)
     return PropertyReport(
         is_weakly_connected=_weakly_connected(g),
-        is_simple=not any(o >> i & 1 for i, o in enumerate(out)),
+        is_simple=_is_simple(out),
         is_oriented=oriented,
         is_acyclic=acyclic,
         is_transitively_closed=closed,
         per_label_path=per_label,
     )
+
+
+def _is_simple(out: Sequence[int]) -> bool:
+    """True iff no node's out-mask ``out[i]`` holds its own bit ``i``: the
+    graph has no self-loop."""
+    return not any(o >> i & 1 for i, o in enumerate(out))
+
+
+def _is_oriented(out: Sequence[int], inn: Sequence[int]) -> bool:
+    """True iff no node has a neighbour that is both an out- and an
+    in-neighbour: the graph has no pair of opposing edges, a self-loop
+    counting as its own opposite."""
+    return not any(map(and_, out, inn))
 
 
 def _weakly_connected(g: LabeledDigraph) -> bool:
@@ -582,8 +603,9 @@ def build_poset_digraph(
     constructor is the one check of element ids and endpoints.  Reflexive
     pairs are then stripped from its masks, the relation is completed to
     its transitive closure by :func:`_descendants` (a relation that is
-    already closed is its own closure, and no Kahn pass runs), and an edge
-    (p, q) is created for every p <= q with p != q.  The remaining poset
+    already closed is its own closure: no Kahn pass runs, and the result
+    takes the relation's in-masks and skip skeleton, see :func:`_masked`),
+    and an edge (p, q) is created for every p <= q with p != q.  The remaining poset
     rules are :class:`PosetDigraph`'s own checks.
 
     Raises
@@ -600,7 +622,7 @@ def build_poset_digraph(
     elems = list(elements)
     related = LabeledDigraph([e for e, _ in elems], dict(elems), relations)
     out = related.adjacency_masks[1]
-    if any(o >> i & 1 for i, o in enumerate(out)):
+    if not _is_simple(out):
         related = _masked(related, [o & ~(1 << i) for i, o in enumerate(out)])
         out = related.adjacency_masks[1]
     desc = _descendants(related)

@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
-from .core import Edge, LabeledDigraph, UndirectedGraph, line_graph, structure
+from .core import (
+    Edge,
+    LabeledDigraph,
+    UndirectedGraph,
+    _is_oriented,
+    _is_simple,
+    line_graph,
+    structure,
+)
 from .errors import NotSimple
 from .isomorphism import find_isomorphism
 
@@ -86,12 +94,15 @@ def extended_line_digraph(g: LabeledDigraph) -> ExtendedLineDigraph:
     oriented (the construction still goes through, but 2-cycles produce
     HT edges in both directions and the usual uniqueness guarantees no
     longer apply).  The result carries ``g`` as its ``source`` when ``g``
-    is oriented.
+    is oriented.  Both flags are read straight off ``g.adjacency_masks``
+    by the tests of :func:`validate_properties`; no structural report is
+    built.
     """
-    report = g.report
-    if not report.is_simple:
+    _, out, inn = g.adjacency_masks
+    if not _is_simple(out):
         raise NotSimple("extended line digraph requires a simple source graph")
-    if not report.is_oriented:
+    oriented = _is_oriented(out, inn)
+    if not oriented:
         warnings.warn(
             "source graph is not oriented; extended line digraph built anyway",
             stacklevel=2,
@@ -100,7 +111,7 @@ def extended_line_digraph(g: LabeledDigraph) -> ExtendedLineDigraph:
         (u, v): (g.node_labels[u], g.node_labels[v]) for u, v in g.edges
     }
     return ExtendedLineDigraph(
-        g.edges, labels, source=g if report.is_oriented else None
+        g.edges, labels, source=g if oriented else None
     )
 
 

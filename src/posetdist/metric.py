@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .clique import dmces_via_clique, mcis
+from .clique import dmces_via_clique, mcis_size
 from .core import LabeledDigraph, PosetDigraph
 from .solvers import (
     DmcesOutcome,
@@ -146,12 +146,15 @@ def d_n(g, g2) -> Fraction:
     subgraph size over the larger node count.  Accepts any labeled
     digraphs, including extended line digraphs (edge labels respected).
     Two empty graphs are at distance 0.  Raises :class:`KindMismatch` on
-    two graphs of different types, as :func:`mcis` does.  On two extended
-    line digraphs of simple, oriented graphs ``G`` and ``G'`` it runs the
-    clique route's core on ``G`` and ``G'`` (see :func:`mcis`), so
-    ``d_n(L(G), L(G')) == d_e(G, G').distance`` holds by construction on
-    every pair that ``d_e`` accepts."""
-    size, _ = mcis(g, g2)
+    two graphs of different types, as :func:`mcis` does.  The size comes
+    from :func:`mcis_size`: the route of :func:`mcis` and its check of the
+    clique, without the canonical witness.  On two extended line digraphs
+    of simple, oriented graphs ``G`` and ``G'`` it searches the clique
+    route's compatibility graph of ``G`` and ``G'``, the one ``d_e``
+    searches, so ``d_n(L(G), L(G')) == d_e(G, G').distance`` on every pair
+    that ``d_e`` accepts: both take the same optimum, whichever maximum
+    clique each finds."""
+    size = mcis_size(g, g2)
     n = max(len(g.nodes), len(g2.nodes))
     return 1 - Fraction(size, n) if n else Fraction(0)
 

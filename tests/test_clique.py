@@ -18,6 +18,7 @@ from posetdist import (
     Solver,
     UndirectedGraph,
     compatibility_graph,
+    d_e,
     d_n,
     dmces_bruteforce,
     dmces_via_clique,
@@ -25,6 +26,7 @@ from posetdist import (
     matched_edges,
     max_clique,
     mcis,
+    mcis_size,
 )
 from posetdist.bench import seeded_pair
 from conftest import (
@@ -189,6 +191,13 @@ class TestMaxClique:
         # the witness too: the lexicographically smallest maximum clique
         assert max_clique(g) == subset_max_clique(g)
 
+    @given(undirected_graphs())
+    def test_the_size_phase_clique_is_a_maximum_clique(self, g):
+        # any maximum clique, not the canonical one: no witness walk
+        clique = clique_module._some_max_clique(g)
+        assert len(clique) == len(set(clique)) == len(subset_max_clique(g))
+        assert all(g.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
+
     @given(undirected_graphs(max_nodes=7))
     def test_deterministic_witness_stable(self, g):
         assert max_clique(g) == max_clique(g)
@@ -343,6 +352,10 @@ class TestMcis:
             d_n(LabeledDigraph((), {}, ()), UndirectedGraph((), ()))
         with pytest.raises(KindMismatch, match="unsupported"):
             mcis(object(), object())
+
+    @given(same_type_pairs)
+    def test_mcis_size_is_the_size_of_mcis(self, pair):
+        assert mcis_size(*pair) == mcis(*pair)[0]
 
     def test_self_mcis_is_node_count(self):
         g = diamond_graph()
@@ -554,6 +567,64 @@ class TestSourcedMcis:
                 call(eld, g)
             with pytest.raises(KindMismatch):
                 call(g, eld)
+
+
+class TestValuePath:
+    """``d_n`` and ``mcis_size`` take the size phase's clique, check it,
+    and run no witness walk."""
+
+    @staticmethod
+    def _assert_the_optima_agree(g, g2):
+        eld, eld2 = extended_line_digraph(g), extended_line_digraph(g2)
+        n = max(len(g.edges), len(g2.edges))
+        distance = d_n(eld, eld2)
+        assert distance == d_e(g, g2).distance
+        assert distance == 1 - Fraction(mcis(eld, eld2)[0], n)
+
+    @pytest.mark.parametrize("seed", [0, 7, 21, 3_000_000])
+    @pytest.mark.parametrize("nodes, labels", [(8, 1), (12, 2), (16, 4)])
+    def test_d_n_of_line_digraphs_is_d_e_on_seeded_pairs(self, nodes, labels, seed):
+        self._assert_the_optima_agree(*seeded_pair("wso", nodes, labels, 0.3, seed))
+
+    @given(seeded_graphs("wso", max_nodes=7), seeded_graphs("wso", max_nodes=7))
+    def test_d_n_of_line_digraphs_is_d_e(self, g, g2):
+        self._assert_the_optima_agree(g, g2)
+
+    def test_one_search_per_d_n_and_more_for_the_witness(self, monkeypatch):
+        calls = []
+        search = clique_module._search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(clique_module, "_search", counted)
+        g, g2 = seeded_pair("wso", 16, 4, 0.3, 0)
+        eld, eld2 = extended_line_digraph(g), extended_line_digraph(g2)
+        d_n(eld, eld2)
+        assert len(calls) == 1
+        calls.clear()
+        mcis(eld, eld2)
+        assert len(calls) > 1
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [
+            lambda g: (extended_line_digraph(g), extended_line_digraph(g)),
+            lambda g: (g, g),
+        ],
+        ids=["sourced-eld", "generic"],
+    )
+    def test_a_search_that_returns_no_clique_is_an_internal_error(
+        self, graphs, monkeypatch
+    ):
+        # every vertex at once: shares coordinates, so no clique
+        def every_vertex(adj, nadj, cand, incumbent, stop):
+            return len(adj), (1 << len(adj)) - 1
+
+        monkeypatch.setattr(clique_module, "_search", every_vertex)
+        with pytest.raises(RuntimeError, match="internal error"):
+            d_n(*graphs(diamond_graph()))
 
 
 class TestCliqueRoute:

@@ -586,6 +586,33 @@ class TestBuildPoset:
             assert list(built.edges) == expected
             assert built.edges == closure.edges
 
+    @given(shuffled_dags(), st.booleans(), st.data())
+    def test_a_closed_relation_is_skip_tested_once(self, g, loops, data):
+        # the result of a closed relation takes the relation's skeleton and
+        # in-masks; both equal those of the same graph built from its edges
+        closure = transitive_closure(g)
+        if not closure.edges or not closure.report.is_weakly_connected:
+            return
+        elements = [(v, g.node_labels[v]) for v in g.nodes]
+        relations = data.draw(st.permutations(closure.edges))
+        if loops:
+            relations.append((g.nodes[0], g.nodes[0]))
+        calls = []
+        original = core_module._skip_skeleton
+
+        def counted(out):
+            calls.append(out)
+            return original(out)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core_module, "_skip_skeleton", counted)
+            built = build_poset_digraph(elements, relations).graph
+        assert len(calls) == 1
+        fresh = LabeledDigraph(built.nodes, built.node_labels, built.edges)
+        assert built.adjacency_masks == fresh.adjacency_masks
+        assert built.skeleton == fresh.skeleton
+        assert built.report == fresh.report
+
     @given(loopfree_digraphs())
     def test_output_always_closed_and_acyclic(self, g):
         dag = dag_from(g)

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import posetdist.clique as clique_module
 import posetdist.fileio as fileio
 from posetdist import (
     LabeledDigraph,
@@ -595,6 +596,22 @@ class TestCliOtherCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["mcis"] == 3
         assert sorted(payload["pairs"]) == [["u", "u'"], ["v", "v'"], ["w", "w'"]]
+
+    def test_plain_mcis_prints_the_json_size_without_the_witness_walk(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        a = graph_file(tmp_path, generate_instance("wso", 10, 2, 0.3, 5), "a.json")
+        b = graph_file(tmp_path, generate_instance("wso", 10, 2, 0.3, 6), "b.json")
+        assert cli_main(["mcis", a, b, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mcis"] == len(payload["pairs"]) > 1
+
+        def refuse(graph):
+            raise AssertionError("plain mcis ran the witness walk")
+
+        monkeypatch.setattr(clique_module, "max_clique", refuse)
+        assert cli_main(["mcis", a, b]) == 0
+        assert capsys.readouterr().out == f"{payload['mcis']}\n"
 
     def test_mcis_with_an_unmatched_self_loop(self, tmp_path, capsys):
         g = LabeledDigraph(("a", "b"), {"a": "x", "b": "x"}, (("a", "a"), ("a", "b")))

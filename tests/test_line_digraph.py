@@ -105,6 +105,15 @@ class TestInputChecking:
             warnings.simplefilter("error")
             extended_line_digraph(diamond_graph())
 
+    @given(loopfree_digraphs(max_nodes=5))
+    def test_the_build_reads_no_structural_report(self, g):
+        # both flags come off the masks; the source graph caches no report
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eld = extended_line_digraph(g)
+        assert "report" not in vars(g)
+        assert (eld.source is g) == g.report.is_oriented
+
 
 class TestProperties:
     def test_single_edge_gives_one_isolated_node(self):
