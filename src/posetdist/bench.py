@@ -13,11 +13,12 @@ import math
 import time
 from dataclasses import dataclass
 
+from .clique import _compat_vertices
 from .core import LabeledDigraph
 from .errors import SizeCapExceeded, SolverDisagreement
 from .fileio import graph_to_json
 from .generate import generate_instance
-from .metric import _compat_vertices, closure_flags, solve
+from .metric import closure_flags, solve
 from .solvers import _BRUTE_NODE_CAP, Solver
 
 _BRUTE_MATCHINGS = 150_000  # matchings; beyond this the oracle is skipped
@@ -72,7 +73,7 @@ def check_pair(g: LabeledDigraph, g2: LabeledDigraph) -> list[dict]:
     alg1 on at most ``_ALG1_CHAIN_MATCHINGS`` where alg3 runs and at most
     ``_ALG1_MATCHINGS`` elsewhere.  clique runs when the compatibility
     graph has at most ``_CLIQUE_LIMIT`` vertices (see
-    :func:`metric._compat_vertices`).  Raises :class:`SizeCapExceeded`,
+    :func:`clique._compat_vertices`).  Raises :class:`SizeCapExceeded`,
     with the matching count and k, when no gate admits any solver, and
     :class:`SolverDisagreement`, with both graphs as JSON, if any two
     values differ.

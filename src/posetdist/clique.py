@@ -48,12 +48,14 @@ incumbent's size less the size of the clique being extended.  A clique
 drawn from the classes at or below the floor cannot beat the incumbent.
 Its witness is the lexicographically smallest maximum clique.
 
-The clique route's witness is the node map that the endpoints of the
-clique's edge pairs define, and it passes the check every solver's does
-(``solvers._outcome``, linear in the graph sizes): injective,
+The clique route's witness is the set of endpoint pairs of the clique's
+edge pairs, handed as it stands to the check every solver's witness
+passes (``solvers._outcome``, linear in the graph sizes): injective,
 label-preserving, and realizing as many edges as the clique has vertices.
-Such a map keeps every endpoint equality, hence every ELD node label and
-every HT/TT/HH relation among the edges it realizes, so this implies the
+A clique whose endpoints disagree sends some node two ways, or two nodes
+one way, and fails that check's injectivity test.  A map that passes
+keeps every endpoint equality, hence every ELD node label and every
+HT/TT/HH relation among the edges it realizes, so this implies the
 quadratic isomorphism check (:func:`_check_isomorphism`) that
 :func:`mcis` runs on every other pair of graphs.  The same check covers
 ``mcis`` on two sourced line digraphs.
@@ -67,11 +69,12 @@ search and no witness walk.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable
 
-from .core import Edge, LabeledDigraph, PosetDigraph, UndirectedGraph, _bits, _transpose
+from .core import Edge, LabeledDigraph, PosetDigraph, UndirectedGraph, _bits, _transpose, _unwrap
 from .isomorphism import MISSING, require_same_kind
 from .line_digraph import ExtendedLineDigraph
 from .solvers import DmcesOutcome, NodeMatching, Solver, _outcome, _require
@@ -107,8 +110,10 @@ class CompatibilityGraph:
 def compatibility_graph(g, g2) -> CompatibilityGraph:
     """Build the compatibility graph of two graphs of the same type
     (extended line digraphs welcome; their HT/TT/HH edge labels then take
-    part in the agreement condition).  Raises :class:`KindMismatch` on two
-    graphs of different types."""
+    part in the agreement condition; a :class:`PosetDigraph` is its
+    digraph).  Raises :class:`KindMismatch` on two graphs of different
+    types."""
+    g, g2 = _unwrap(g), _unwrap(g2)
     require_same_kind(g, g2)
     labels, labels2 = g.node_labels, g2.node_labels
     ea, eb = g.edge_label_map, g2.edge_label_map
@@ -173,16 +178,14 @@ def _edge_pair_graph(g: LabeledDigraph, g2: LabeledDigraph) -> CompatibilityGrap
     ``g`` are consecutive, and the vertices of the ``j``-th edge in a
     bucket of ``g2`` sit at offset ``j`` from the start of every edge of
     ``g`` in that bucket, so every edge's vertex mask is one shift."""
-    labels, labels2 = g.node_labels, g2.node_labels
     # the edges of g2 by (tail label, head label), each bucket in edge order
     buckets: dict = {}
-    for e2 in g2.edges:
-        buckets.setdefault((labels2[e2[0]], labels2[e2[1]]), []).append(e2)
+    for e2, key in zip(g2.edges, g2.endpoint_labels):
+        buckets.setdefault(key, []).append(e2)
     pairs: list = []
     row_buckets, rows = [], {}
     starts: dict = {}  # bucket -> one bit at the first vertex of each edge of g
-    for e in g.edges:
-        key = (labels[e[0]], labels[e[1]])
+    for e, key in zip(g.edges, g.endpoint_labels):
         bucket = buckets.get(key, ())
         row_buckets.append(bucket)
         rows[e] = ((1 << len(bucket)) - 1) << len(pairs)
@@ -205,6 +208,16 @@ def _edge_pair_graph(g: LabeledDigraph, g2: LabeledDigraph) -> CompatibilityGrap
                 tt & tt2 | ht_in & ht_in2 | ht_out & ht_out2 | hh & hh2 | none & none2
             )
     return CompatibilityGraph(tuple(pairs), tuple(adjacency))
+
+
+def _compat_vertices(g: LabeledDigraph, g2: LabeledDigraph) -> int:
+    """The vertex count k of :func:`_edge_pair_graph`, the compatibility
+    graph the clique route would search: the edge pairs (e, e') with equal
+    ``endpoint_labels``, counted per class; k <= |E| * |E'|.  It is the
+    one cost measure of that route: every clique gate reads it, both in
+    ``metric.choose_solver`` and in the audit (``bench.check_pair``)."""
+    other = Counter(g2.endpoint_labels)
+    return sum(n * other[key] for key, n in Counter(g.endpoint_labels).items())
 
 
 def _edge_classes(g: LabeledDigraph, own: dict, full: int) -> dict:
@@ -431,7 +444,9 @@ def mcis_size(g, g2) -> int:
 
 def _mcis(g, g2, clique_of) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:
     """:func:`mcis` with the clique search ``clique_of``, which returns the
-    vertices of a maximum clique of a compatibility graph."""
+    vertices of a maximum clique of a compatibility graph.  A
+    :class:`PosetDigraph` is searched as its digraph."""
+    g, g2 = _unwrap(g), _unwrap(g2)
     if (
         type(g) is type(g2) is ExtendedLineDigraph
         and g.source is not None
@@ -468,20 +483,17 @@ def _edge_pair_clique(
 ) -> tuple[frozenset[tuple[Edge, Edge]], DmcesOutcome]:
     """The clique route's core on two simple, oriented digraphs: the
     maximum clique of :func:`_edge_pair_graph` that ``clique_of`` finds,
-    as its set of edge pairs, and the outcome of the node map that their
-    endpoints define (checked by ``_outcome``).  The map is consistent and
-    injective for any clique, since shared endpoints on one side force the
-    same sharing on the other; a clique whose endpoints disagree is an
+    as its set of edge pairs, and the outcome of the set of their endpoint
+    pairs as a node matching.  That set goes straight to ``_outcome``,
+    the one witness check.  For any clique it is a consistent, injective
+    map, since shared endpoints on one side force the same sharing on the
+    other; a clique whose endpoints disagree sends a node two ways or two
+    nodes one way, which ``_outcome``'s injectivity test turns into an
     internal error."""
     comp = _edge_pair_graph(g, g2)
     pairs = frozenset(comp.pair(i) for i in clique_of(comp))
-    node_map: dict[str, str] = {}
-    for (u, v), (u2, v2) in pairs:
-        for s, t in ((u, u2), (v, v2)):
-            if node_map.setdefault(s, t) != t:
-                raise RuntimeError("internal error: clique endpoints disagree")
-    outcome = _outcome(g, g2, len(pairs), NodeMatching(node_map.items()), Solver.CLIQUE)
-    return pairs, outcome
+    ends = NodeMatching({end for e, e2 in pairs for end in zip(e, e2)})
+    return pairs, _outcome(g, g2, len(pairs), ends, Solver.CLIQUE)
 
 
 def dmces_via_clique(

@@ -28,14 +28,13 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, compress, repeat
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import (
     AntisymmetryViolation,
     CycleDetected,
     DegeneratePoset,
-    NotSimple,
     NotTransitivelyClosed,
     NotWeaklyConnected,
     PropertyViolation,
@@ -153,15 +152,14 @@ class LabeledDigraph:
         return validate_properties(self)
 
     @cached_property
-    def edge_label_pairs(self) -> dict[tuple[str, str], int]:
-        """The edge-label-pair histogram: how many edges run from a node
-        labeled ``a`` to a node labeled ``b``, for every such ``(a, b)``."""
-        counts: dict[tuple[str, str], int] = {}
-        labels = self.node_labels
-        for u, v in self.edges:
-            key = (labels[u], labels[v])
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+    def endpoint_labels(self) -> tuple[tuple[str, str], ...]:
+        """Per edge, in ``edges`` order, its (tail label, head label): the
+        label of its node in the extended line digraph, and the class the
+        clique route matches it in.  Built once per graph object, in
+        C-level passes over the edges."""
+        label, edges = self.node_labels.__getitem__, self.edges
+        tails, heads = map(itemgetter(0), edges), map(itemgetter(1), edges)
+        return tuple(zip(map(label, tails), map(label, heads)))
 
     @cached_property
     def label_classes(self) -> dict[str, tuple[NodeId, ...]]:
@@ -338,6 +336,12 @@ class PosetDigraph:
     @property
     def per_label_path(self) -> bool:
         return self.graph.report.per_label_path
+
+
+def _unwrap(g):
+    """The digraph of a :class:`PosetDigraph`; any other graph as it is.
+    Every entry point that takes a poset compares its digraph."""
+    return g.graph if isinstance(g, PosetDigraph) else g
 
 
 def validate_properties(g: LabeledDigraph) -> PropertyReport:

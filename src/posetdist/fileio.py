@@ -241,13 +241,14 @@ def save_graph(g: LabeledDigraph, path: PathLike) -> None:
     Path(path).write_text(graph_to_json(g), encoding="utf-8")
 
 
-def eld_to_dot(eld: ExtendedLineDigraph, name: str = "eld") -> str:
-    """DOT text for an extended line digraph: one node per source edge,
-    one styled edge per labeled edge (HT solid, HH dashed, TT dotted)."""
+def eld_to_dot(eld: ExtendedLineDigraph) -> str:
+    """DOT text for an extended line digraph, as the digraph ``eld``: one
+    node per source edge, one styled edge per labeled edge (HT solid, HH
+    dashed, TT dotted)."""
     def nid(e):
         return f'"{e[0]}->{e[1]}"'
 
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph eld {"]
     for e in eld.nodes:
         la, lb = eld.node_labels[e]
         lines.append(f'  {nid(e)} [label="({la},{lb})"];')

@@ -25,8 +25,10 @@ from .core import (
     Edge,
     LabeledDigraph,
     UndirectedGraph,
+    PosetDigraph,
     _is_oriented,
     _is_simple,
+    _unwrap,
     line_graph,
     structure,
 )
@@ -86,9 +88,11 @@ class ExtendedLineDigraph:
         return counts
 
 
-def extended_line_digraph(g: LabeledDigraph) -> ExtendedLineDigraph:
-    """Build the extended line digraph of ``g``; its arcs are built when
-    first read (see :class:`ExtendedLineDigraph`).
+def extended_line_digraph(g: LabeledDigraph | PosetDigraph) -> ExtendedLineDigraph:
+    """Build the extended line digraph of ``g`` (of its digraph, for a
+    :class:`PosetDigraph`); its arcs are built when first read (see
+    :class:`ExtendedLineDigraph`).  Each node's label is its edge's
+    ``endpoint_labels`` entry.
 
     Raises :class:`NotSimple` on self-loops; warns when ``g`` is not
     oriented (the construction still goes through, but 2-cycles produce
@@ -98,6 +102,7 @@ def extended_line_digraph(g: LabeledDigraph) -> ExtendedLineDigraph:
     by the tests of :func:`validate_properties`; no structural report is
     built.
     """
+    g = _unwrap(g)
     _, out, inn = g.adjacency_masks
     if not _is_simple(out):
         raise NotSimple("extended line digraph requires a simple source graph")
@@ -107,11 +112,8 @@ def extended_line_digraph(g: LabeledDigraph) -> ExtendedLineDigraph:
             "source graph is not oriented; extended line digraph built anyway",
             stacklevel=2,
         )
-    labels = {
-        (u, v): (g.node_labels[u], g.node_labels[v]) for u, v in g.edges
-    }
     return ExtendedLineDigraph(
-        g.edges, labels, source=g if oriented else None
+        g.edges, dict(zip(g.edges, g.endpoint_labels)), source=g if oriented else None
     )
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .clique import dmces_via_clique, mcis_size
-from .core import LabeledDigraph, PosetDigraph
+from .clique import _compat_vertices, dmces_via_clique, mcis_size
+from .core import LabeledDigraph, PosetDigraph, _unwrap
 from .solvers import (
     DmcesOutcome,
     NodeMatching,
@@ -33,8 +33,13 @@ from .solvers import (
 
 AUTO = "auto"
 # Open pairs take the clique route up to this many compatibility-graph
-# vertices k.  It bounds memory, not time: one k-bit neighbour mask per
-# vertex, about 12.5 MB at this limit.
+# vertices k.  It bounds memory, not time.  One set of k-bit neighbour
+# masks is about 12.5 MB at this limit, but the peak comes from the
+# relabel in ``clique._size_phase``: ``core._transpose`` writes the k x k
+# bit matrix as one string of k^2 characters and holds the k row strings
+# beside it while it joins them.  Peak RSS before the search, from a 17 MB
+# start (seeded wso pairs, 2 labels): 161 MB at k = 8 346, 232 MB at
+# k = 10 223.
 _CLIQUE_AUTO_LIMIT = 10_000
 # Closure pairs that are not all chains take the clique route up to this
 # many compatibility-graph vertices k, alg2 beyond.  On the re-run seeded
@@ -86,17 +91,6 @@ def solve(
     return dmces_via_clique(g, g2)
 
 
-def _compat_vertices(g: LabeledDigraph, g2: LabeledDigraph) -> int:
-    """The vertex count k of the compatibility graph the clique route would
-    search: the label-matched pairs of nodes of the two extended line
-    digraphs, that is the edge pairs (e, e') with equal endpoint labels,
-    read off the two edge-label-pair histograms; k <= |E| * |E'|.  It is
-    the one cost measure of that route: every clique gate reads it, both
-    here and in the audit (``bench.check_pair``)."""
-    other = g2.edge_label_pairs
-    return sum(n * other.get(key, 0) for key, n in g.edge_label_pairs.items())
-
-
 def closure_flags(g: LabeledDigraph, g2: LabeledDigraph) -> tuple[bool, bool]:
     """Whether both graphs are transitive closures (alg2 applies), and
     whether every label class is also a chain in both (alg3 applies)."""
@@ -146,7 +140,8 @@ def d_n(g, g2) -> Fraction:
     subgraph size over the larger node count.  Accepts any labeled
     digraphs, including extended line digraphs (edge labels respected).
     Two empty graphs are at distance 0.  Raises :class:`KindMismatch` on
-    two graphs of different types, as :func:`mcis` does.  The size comes
+    two graphs of different types, as :func:`mcis` does; a
+    :class:`PosetDigraph` is compared as its digraph.  The size comes
     from :func:`mcis_size`: the route of :func:`mcis` and its check of the
     clique, without the canonical witness.  On two extended line digraphs
     of simple, oriented graphs ``G`` and ``G'`` it searches the clique
@@ -154,6 +149,7 @@ def d_n(g, g2) -> Fraction:
     searches, so ``d_n(L(G), L(G')) == d_e(G, G').distance`` on every pair
     that ``d_e`` accepts: both take the same optimum, whichever maximum
     clique each finds."""
+    g, g2 = _unwrap(g), _unwrap(g2)
     size = mcis_size(g, g2)
     n = max(len(g.nodes), len(g2.nodes))
     return 1 - Fraction(size, n) if n else Fraction(0)

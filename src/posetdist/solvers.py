@@ -40,7 +40,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
-from .core import LabeledDigraph, PosetDigraph, _bits, _dense, _image, topological_sort
+from .core import LabeledDigraph, PosetDigraph, _bits, _dense, _image, _unwrap, topological_sort
 from .errors import (
     DegenerateInput,
     InvalidMatching,
@@ -258,7 +258,7 @@ def dmces_bruteforce(
     :class:`PosetDigraph` is unwrapped, but no structural guard runs: the
     oracle takes any labeled digraph.
     """
-    g, g2 = (p.graph if isinstance(p, PosetDigraph) else p for p in (g, g2))
+    g, g2 = _unwrap(g), _unwrap(g2)
     if len(g.nodes) > _BRUTE_NODE_CAP or len(g2.nodes) > _BRUTE_NODE_CAP:
         raise SizeCapExceeded(
             f"brute force capped at {_BRUTE_NODE_CAP} nodes "
@@ -321,7 +321,7 @@ def _require(
     A :class:`PosetDigraph` is unwrapped (it passes every check but the
     chain one by construction).  Returns the two plain digraphs.
     """
-    pair = tuple(p.graph if isinstance(p, PosetDigraph) else p for p in (g, g2))
+    pair = _unwrap(g), _unwrap(g2)
     for which, graph in zip(("first", "second"), pair):
         if not graph.report.is_wso:
             raise PropertyViolation(

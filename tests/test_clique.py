@@ -655,6 +655,26 @@ class TestCliqueRoute:
         )
         assert out.value == len(matched_edges(g, g, out.witness))
 
+    @pytest.mark.parametrize(
+        "swap", [False, True], ids=["one-node-two-ways", "two-nodes-one-way"]
+    )
+    def test_endpoints_that_disagree_are_an_internal_error(self, swap, monkeypatch):
+        # two edges with a shared tail matched to two disjoint edges: the
+        # tail maps two ways (or, swapped, two tails map to one), which the
+        # one witness check rejects as not injective
+        star = LabeledDigraph("abc", dict.fromkeys("abc", "x"), ("ab", "ac"))
+        path = LabeledDigraph("defh", dict.fromkeys("defh", "x"), ("de", "ef", "fh"))
+        chosen = [(("a", "b"), ("d", "e")), (("a", "c"), ("f", "h"))]
+        g, g2 = (path, star) if swap else (star, path)
+        if swap:
+            chosen = [(e2, e) for e, e2 in chosen]
+        comp = clique_module._edge_pair_graph(g, g2)
+        clique = frozenset(map(comp.pair_index.index, chosen))
+        monkeypatch.setattr(clique_module, "max_clique", lambda graph: clique)
+        message = "^internal error: clique witness: .*not injective"
+        with pytest.raises(RuntimeError, match=message):
+            dmces_via_clique(g, g2)
+
     def test_endpoints_of_another_label_are_an_internal_error(self, monkeypatch):
         # a vertex that pairs edges of different endpoint labels gives an
         # injective map that realizes the edge, but not a label-preserving one

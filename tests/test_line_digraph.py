@@ -2,6 +2,7 @@
 
 import warnings
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -10,8 +11,10 @@ from posetdist import (
     HT,
     TT,
     ExtendedLineDigraph,
+    KINDS,
     LabeledDigraph,
     NotSimple,
+    build_poset_digraph,
     eld_structure,
     extended_line_digraph,
     find_isomorphism,
@@ -147,6 +150,22 @@ class TestProperties:
     @given(seeded_graphs("wso", max_nodes=6))
     def test_structure_commutes_with_line_graph(self, g):
         assert structure_commutes(g)
+
+    @given(st.one_of(*(seeded_graphs(kind) for kind in KINDS)))
+    def test_node_labels_are_the_endpoint_labels_in_edge_order(self, g):
+        # one (tail label, head label) per edge, the one derivation of it
+        labels = g.endpoint_labels
+        assert len(labels) == len(g.edges)
+        assert labels == tuple((g.node_labels[u], g.node_labels[v]) for u, v in g.edges)
+        assert labels == tuple(extended_line_digraph(g).node_labels.values())
+
+    def test_a_poset_is_built_from_its_digraph(self):
+        p = build_poset_digraph(
+            [("a", "x"), ("b", "x"), ("c", "y")], [("a", "b"), ("b", "c")]
+        )
+        eld = extended_line_digraph(p)
+        assert eld == extended_line_digraph(p.graph)
+        assert eld.source is p.graph
 
     def test_eld_structure_drops_directions(self):
         s = eld_structure(extended_line_digraph(diamond_graph()))

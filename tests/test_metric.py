@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import posetdist.clique as clique_module
 import posetdist.core as core_module
 import posetdist.metric as metric_module
 from posetdist import (
@@ -25,6 +26,8 @@ from posetdist import (
     dmces_alg2,
     dmces_via_clique,
     extended_line_digraph,
+    mcis,
+    mcis_size,
     poset_distance,
     score,
 )
@@ -107,7 +110,7 @@ class TestChooseSolver:
             assert choose_solver(g, g2) is beyond
 
     @given(
-        st.sampled_from(("wso", "closure")),
+        st.sampled_from(("wso", "closure", "path-closure")),
         st.integers(3, 8),
         st.integers(1, 4),
         st.sampled_from((0.3, 0.45, 0.6)),
@@ -117,7 +120,9 @@ class TestChooseSolver:
     def test_gate_counts_the_compatibility_vertices(self, kind, nodes, labels, density, seed):
         g, g2 = seeded_pair(kind, nodes, labels, density, seed)
         comp = compatibility_graph(extended_line_digraph(g), extended_line_digraph(g2))
-        assert metric_module._compat_vertices(g, g2) == len(comp.pair_index)
+        k = metric_module._compat_vertices(g, g2)
+        assert k == len(comp.pair_index)
+        assert k == len(clique_module._edge_pair_graph(g, g2).pair_index)
 
     def test_small_open_inputs_get_the_clique_route(self):
         g = diamond_graph()  # acyclic but missing the composite edge
@@ -367,6 +372,15 @@ class TestPosetDistance:
             assert dmces_alg1(a, b).value == value
             assert dmces_via_clique(a, b).value == value
             assert d_e(a, b).dmces_value == value
+
+    def test_the_line_digraph_entry_points_take_posets(self):
+        p, q = self.shuffled_chains()
+        eld, eld2 = extended_line_digraph(p), extended_line_digraph(q)
+        assert d_n(eld, eld2) == d_e(p, q).distance == Fraction(1, 3)
+        assert d_n(p, q) == d_n(p.graph, q.graph)
+        assert mcis(p, q) == mcis(p.graph, q.graph)
+        assert mcis_size(p, q) == mcis_size(p.graph, q.graph)
+        assert compatibility_graph(p, q) == compatibility_graph(p.graph, q.graph)
 
     def test_brute_takes_posets_through_solve(self):
         p, q = self.shuffled_chains()
