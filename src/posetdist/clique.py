@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable
 
-from .core import Edge, LabeledDigraph, PosetDigraph, UndirectedGraph, _bits, _transpose, _unwrap
+from .core import Edge, LabeledDigraph, UndirectedGraph, _bits, _transpose
 from .isomorphism import MISSING, require_same_kind
 from .line_digraph import ExtendedLineDigraph
 from .solvers import DmcesOutcome, NodeMatching, Solver, _outcome, _require
@@ -108,12 +108,10 @@ class CompatibilityGraph:
 
 
 def compatibility_graph(g, g2) -> CompatibilityGraph:
-    """Build the compatibility graph of two graphs of the same type
+    """Build the compatibility graph of two graphs of the same kind
     (extended line digraphs welcome; their HT/TT/HH edge labels then take
-    part in the agreement condition; a :class:`PosetDigraph` is its
-    digraph).  Raises :class:`KindMismatch` on two graphs of different
-    types."""
-    g, g2 = _unwrap(g), _unwrap(g2)
+    part in the agreement condition).  Raises :class:`KindMismatch` on two
+    graphs of different kinds (see :func:`require_same_kind`)."""
     require_same_kind(g, g2)
     labels, labels2 = g.node_labels, g2.node_labels
     ea, eb = g.edge_label_map, g2.edge_label_map
@@ -420,9 +418,9 @@ def _search(
 
 def mcis(g, g2) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:
     """Maximum common node-induced subgraph size of two graphs of the same
-    type, via the maximum clique of their compatibility graph, with the
+    kind, via the maximum clique of their compatibility graph, with the
     clique's pairs: the canonical witness of :func:`max_clique`.  Raises
-    :class:`KindMismatch` on two graphs of different types.
+    :class:`KindMismatch` on two graphs of different kinds.
 
     Two extended line digraphs that both carry their (simple, oriented)
     source take the clique route's core on the sources (see
@@ -444,9 +442,7 @@ def mcis_size(g, g2) -> int:
 
 def _mcis(g, g2, clique_of) -> tuple[int, frozenset[tuple[Hashable, Hashable]]]:
     """:func:`mcis` with the clique search ``clique_of``, which returns the
-    vertices of a maximum clique of a compatibility graph.  A
-    :class:`PosetDigraph` is searched as its digraph."""
-    g, g2 = _unwrap(g), _unwrap(g2)
+    vertices of a maximum clique of a compatibility graph."""
     if (
         type(g) is type(g2) is ExtendedLineDigraph
         and g.source is not None
@@ -496,9 +492,7 @@ def _edge_pair_clique(
     return pairs, _outcome(g, g2, len(pairs), ends, Solver.CLIQUE)
 
 
-def dmces_via_clique(
-    g: LabeledDigraph | PosetDigraph, g2: LabeledDigraph | PosetDigraph
-) -> DmcesOutcome:
+def dmces_via_clique(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
     """Edge-overlap optimum through the clique reduction.
 
     Both inputs must be weakly connected, simple, and oriented.  The value
@@ -507,5 +501,5 @@ def dmces_via_clique(
     matched source-edge pairs determine the node matching by reading off
     endpoints.  The witness is checked as every solver's is (see the
     module docstring and :func:`_edge_pair_clique`)."""
-    ga, gb = _require(g, g2)
-    return _edge_pair_clique(ga, gb, max_clique)[1]
+    _require(g, g2)
+    return _edge_pair_clique(g, g2, max_clique)[1]

@@ -4,7 +4,9 @@ The whole package works on two graph value types defined here:
 :class:`LabeledDigraph` (directed, node-labeled) and
 :class:`UndirectedGraph` (plain, unlabeled).  Both are immutable after
 construction and iterate nodes/edges in deterministic insertion order, so
-every algorithm downstream is reproducible run to run.
+every algorithm downstream is reproducible run to run.  A
+:class:`PosetDigraph` is a :class:`LabeledDigraph` whose constructor
+proves the poset rules, so every function on digraphs takes one.
 
 Every graph routine here (the structural report, topological order,
 transitive closure and reduction, poset construction, ancestors and line
@@ -304,20 +306,18 @@ class PropertyReport:
         return self.is_weakly_connected and self.is_simple and self.is_oriented
 
 
-@dataclass(frozen=True)
-class PosetDigraph:
-    """A digraph proven to come from a labeled partial order.
+class PosetDigraph(LabeledDigraph):
+    """A digraph proven to come from a labeled partial order: a
+    :class:`LabeledDigraph` that is weakly connected, simple, oriented,
+    acyclic, transitively closed, and has at least one edge.  Build one
+    with :func:`build_poset_digraph`, or from an existing transitively
+    closed graph, whose fields and cached views it takes over; the
+    constructor raises the first poset rule the graph breaks.  Every
+    function that takes a digraph takes a poset."""
 
-    Wraps a :class:`LabeledDigraph` that is weakly connected, simple,
-    oriented, acyclic, transitively closed, and has at least one edge.
-    Build one with :func:`build_poset_digraph`, or wrap an existing
-    transitively closed graph directly.
-    """
-
-    graph: LabeledDigraph
-
-    def __post_init__(self):
-        report = self.graph.report
+    def __init__(self, graph: LabeledDigraph):
+        vars(self).update(vars(graph))
+        report = self.report
         if not report.is_simple:
             raise PropertyViolation("poset digraph must be simple")
         if not report.is_oriented:
@@ -328,20 +328,19 @@ class PosetDigraph:
             raise NotTransitivelyClosed("poset digraph must be transitively closed")
         # before connectivity: an edgeless graph of two or more nodes is
         # degenerate first
-        if not self.graph.edges:
+        if not self.edges:
             raise DegeneratePoset("order relation yields no edges")
         if not report.is_weakly_connected:
             raise NotWeaklyConnected("poset digraph must be weakly connected")
 
     @property
+    def graph(self) -> "PosetDigraph":
+        """The poset itself, which is its own digraph."""
+        return self
+
+    @property
     def per_label_path(self) -> bool:
-        return self.graph.report.per_label_path
-
-
-def _unwrap(g):
-    """The digraph of a :class:`PosetDigraph`; any other graph as it is.
-    Every entry point that takes a poset compares its digraph."""
-    return g.graph if isinstance(g, PosetDigraph) else g
+        return self.report.per_label_path
 
 
 def validate_properties(g: LabeledDigraph) -> PropertyReport:
@@ -760,13 +759,24 @@ def _transpose(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     neighbour masks of an undirected graph are symmetric, so any order
     gives them relabelled.
 
-    The masks are written out as one string of binary rows, the last of
-    ``order`` first, and read back by column.  Every step is a C-level
-    string or integer operation, one per position."""
+    The rows are taken in bands of ``_BAND`` positions of ``order``.  Each
+    band is written out as one string of binary rows, its last row first,
+    and read back by column; a band's columns are ORed into place at its
+    offset.  Every step is a C-level string or integer operation, one per
+    position and band, and no string holds more than ``_BAND`` rows, so a
+    k x k matrix costs about ``_BAND * k`` characters, not k^2."""
     n = len(order)
     width = f"0{n}b"
-    rows = "".join([format(masks[v], width) for v in reversed(order)])
-    return tuple([int(rows[n - 1 - v :: n], 2) for v in order])
+    columns = [0] * n
+    for start in range(0, n, _BAND):
+        band = order[start : start + _BAND]
+        rows = "".join([format(masks[v], width) for v in reversed(band)])
+        columns = [c | int(rows[n - 1 - v :: n], 2) << start for c, v in zip(columns, order)]
+    return tuple(columns)
+
+
+# rows per band of :func:`_transpose`: up to this many vertices, one band
+_BAND = 1024
 
 
 # the binary digits "0" and "1" as the bytes 0 and 1

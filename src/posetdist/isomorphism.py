@@ -56,12 +56,14 @@ def _signature(g, v) -> tuple:
 
 
 def require_same_kind(g, g2) -> None:
-    """Raise :class:`KindMismatch` unless ``g`` and ``g2`` are of one type,
-    and that type has an ``edge_label_map``."""
-    if type(g) is not type(g2):
+    """Raise :class:`KindMismatch` unless ``g`` and ``g2`` are of one kind,
+    that is, one is an instance of the other's type (a poset and a plain
+    digraph compare), and that kind has an ``edge_label_map``."""
+    if not (isinstance(g, type(g2)) or isinstance(g2, type(g))):
         raise KindMismatch(f"cannot compare {type(g).__name__} with {type(g2).__name__}")
-    if not hasattr(g, "edge_label_map"):
-        raise KindMismatch(f"unsupported graph type {type(g).__name__}")
+    for graph in (g, g2):
+        if not hasattr(graph, "edge_label_map"):
+            raise KindMismatch(f"unsupported graph type {type(graph).__name__}")
 
 
 def find_isomorphism(g, g2) -> Optional[Bijection]:

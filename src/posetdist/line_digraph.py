@@ -25,10 +25,8 @@ from .core import (
     Edge,
     LabeledDigraph,
     UndirectedGraph,
-    PosetDigraph,
     _is_oriented,
     _is_simple,
-    _unwrap,
     line_graph,
     structure,
 )
@@ -88,11 +86,10 @@ class ExtendedLineDigraph:
         return counts
 
 
-def extended_line_digraph(g: LabeledDigraph | PosetDigraph) -> ExtendedLineDigraph:
-    """Build the extended line digraph of ``g`` (of its digraph, for a
-    :class:`PosetDigraph`); its arcs are built when first read (see
-    :class:`ExtendedLineDigraph`).  Each node's label is its edge's
-    ``endpoint_labels`` entry.
+def extended_line_digraph(g: LabeledDigraph) -> ExtendedLineDigraph:
+    """Build the extended line digraph of ``g``; its arcs are built when
+    first read (see :class:`ExtendedLineDigraph`).  Each node's label is
+    its edge's ``endpoint_labels`` entry.
 
     Raises :class:`NotSimple` on self-loops; warns when ``g`` is not
     oriented (the construction still goes through, but 2-cycles produce
@@ -102,7 +99,6 @@ def extended_line_digraph(g: LabeledDigraph | PosetDigraph) -> ExtendedLineDigra
     by the tests of :func:`validate_properties`; no structural report is
     built.
     """
-    g = _unwrap(g)
     _, out, inn = g.adjacency_masks
     if not _is_simple(out):
         raise NotSimple("extended line digraph requires a simple source graph")

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Union
 
 from .clique import _compat_vertices, dmces_via_clique, mcis_size
-from .core import LabeledDigraph, PosetDigraph, _unwrap
+from .core import LabeledDigraph, PosetDigraph
 from .solvers import (
     DmcesOutcome,
     NodeMatching,
@@ -34,12 +34,12 @@ from .solvers import (
 AUTO = "auto"
 # Open pairs take the clique route up to this many compatibility-graph
 # vertices k.  It bounds memory, not time.  One set of k-bit neighbour
-# masks is about 12.5 MB at this limit, but the peak comes from the
-# relabel in ``clique._size_phase``: ``core._transpose`` writes the k x k
-# bit matrix as one string of k^2 characters and holds the k row strings
-# beside it while it joins them.  Peak RSS before the search, from a 17 MB
-# start (seeded wso pairs, 2 labels): 161 MB at k = 8 346, 232 MB at
-# k = 10 223.
+# masks is about 12.5 MB at this limit, and the relabel in
+# ``clique._size_phase`` builds two more (the relabelled masks and their
+# complements); ``core._transpose`` writes the bit matrix in bands of
+# 1 024 rows, so its strings hold about 1 024 * k characters.  Peak RSS
+# before the search, from a 13 MB start (seeded wso pairs, 2 labels):
+# 68 MB at k = 8 346, 82 MB at k = 10 223, 101 MB at k = 12 040.
 _CLIQUE_AUTO_LIMIT = 10_000
 # Closure pairs that are not all chains take the clique route up to this
 # many compatibility-graph vertices k, alg2 beyond.  On the re-run seeded
@@ -115,13 +115,11 @@ def choose_solver(g: LabeledDigraph, g2: LabeledDigraph) -> Solver:
 
 
 def d_e(
-    g: LabeledDigraph | PosetDigraph,
-    g2: LabeledDigraph | PosetDigraph,
-    solver: Union[Solver, str] = AUTO,
+    g: LabeledDigraph, g2: LabeledDigraph, solver: Union[Solver, str] = AUTO
 ) -> DistanceResult:
     """Edge-overlap distance between two weakly connected, simple,
     oriented node-labeled digraphs, each with at least one edge."""
-    g, g2 = _require(g, g2, edges=True)
+    _require(g, g2, edges=True)
     if solver == AUTO:
         solver = choose_solver(g, g2)
     outcome = solve(g, g2, solver)
@@ -140,8 +138,7 @@ def d_n(g, g2) -> Fraction:
     subgraph size over the larger node count.  Accepts any labeled
     digraphs, including extended line digraphs (edge labels respected).
     Two empty graphs are at distance 0.  Raises :class:`KindMismatch` on
-    two graphs of different types, as :func:`mcis` does; a
-    :class:`PosetDigraph` is compared as its digraph.  The size comes
+    two graphs of different kinds, as :func:`mcis` does.  The size comes
     from :func:`mcis_size`: the route of :func:`mcis` and its check of the
     clique, without the canonical witness.  On two extended line digraphs
     of simple, oriented graphs ``G`` and ``G'`` it searches the clique
@@ -149,7 +146,6 @@ def d_n(g, g2) -> Fraction:
     searches, so ``d_n(L(G), L(G')) == d_e(G, G').distance`` on every pair
     that ``d_e`` accepts: both take the same optimum, whichever maximum
     clique each finds."""
-    g, g2 = _unwrap(g), _unwrap(g2)
     size = mcis_size(g, g2)
     n = max(len(g.nodes), len(g2.nodes))
     return 1 - Fraction(size, n) if n else Fraction(0)

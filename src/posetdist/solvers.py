@@ -40,10 +40,11 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
-from .core import LabeledDigraph, PosetDigraph, _bits, _dense, _image, _unwrap, topological_sort
+from .core import LabeledDigraph, _bits, _dense, _image, topological_sort
 from .errors import (
     DegenerateInput,
     InvalidMatching,
+    KindMismatch,
     LabelClassNotPath,
     NotTransitivelyClosed,
     PairNotTwisted,
@@ -244,21 +245,19 @@ def _outcome(
     return DmcesOutcome(value, phi, solver)
 
 
-def dmces_bruteforce(
-    g: LabeledDigraph | PosetDigraph,
-    g2: LabeledDigraph | PosetDigraph,
-) -> DmcesOutcome:
+def dmces_bruteforce(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
     """Exhaustive search over every feasible solution, no pruning.
 
     Every node of ``g`` is either skipped or mapped to any unused node of
     ``g2`` with the same label; the best score wins, first-found on ties.
     This is the oracle the pruned solvers are validated against, so it
     stays deliberately naive; a cap of ``_BRUTE_NODE_CAP`` nodes a graph
-    guards against accidental use on large inputs.  A
-    :class:`PosetDigraph` is unwrapped, but no structural guard runs: the
-    oracle takes any labeled digraph.
+    guards against accidental use on large inputs.  No structural guard
+    runs: the oracle takes any labeled digraph, and raises
+    :class:`KindMismatch` on any other graph.
     """
-    g, g2 = _unwrap(g), _unwrap(g2)
+    _require_digraph("first", g)
+    _require_digraph("second", g2)
     if len(g.nodes) > _BRUTE_NODE_CAP or len(g2.nodes) > _BRUTE_NODE_CAP:
         raise SizeCapExceeded(
             f"brute force capped at {_BRUTE_NODE_CAP} nodes "
@@ -305,24 +304,30 @@ def dmces_bruteforce(
     return _outcome(g, g2, best, NodeMatching(tuple(best_phi.items())), Solver.BRUTE)
 
 
+def _require_digraph(which: str, graph) -> None:
+    if not isinstance(graph, LabeledDigraph):
+        raise KindMismatch(f"{which} graph must be a LabeledDigraph, not {type(graph).__name__}")
+
+
 def _require(
-    g: LabeledDigraph | PosetDigraph,
-    g2: LabeledDigraph | PosetDigraph,
+    g: LabeledDigraph,
+    g2: LabeledDigraph,
     *,
     edges: bool = False,
     closure: bool = False,
     chains: bool = False,
-) -> tuple[LabeledDigraph, LabeledDigraph]:
+) -> None:
     """The precondition guard of every solver entry point.
 
-    Each graph, first then second, must be weakly connected, simple and
-    oriented, and then, as asked, have an edge and be transitively closed;
-    label classes are checked for chains only after both graphs passed.
-    A :class:`PosetDigraph` is unwrapped (it passes every check but the
-    chain one by construction).  Returns the two plain digraphs.
+    Each graph, first then second, must be a :class:`LabeledDigraph`
+    (else :class:`KindMismatch`), weakly connected, simple and oriented,
+    and then, as asked, have an edge and be transitively closed; label
+    classes are checked for chains only after both graphs passed.  A
+    :class:`PosetDigraph` passes every check but the chain one by
+    construction.
     """
-    pair = _unwrap(g), _unwrap(g2)
-    for which, graph in zip(("first", "second"), pair):
+    for which, graph in zip(("first", "second"), (g, g2)):
+        _require_digraph(which, graph)
         if not graph.report.is_wso:
             raise PropertyViolation(
                 f"{which} graph must be weakly connected, simple, and oriented"
@@ -332,42 +337,35 @@ def _require(
         if closure and not graph.report.is_transitively_closed:
             raise NotTransitivelyClosed(f"{which} graph is not transitively closed")
     if chains:
-        for which, graph in zip(("first", "second"), pair):
+        for which, graph in zip(("first", "second"), (g, g2)):
             if not graph.report.per_label_path:
                 raise LabelClassNotPath(
                     f"some label class of the {which} graph is not a directed chain"
                 )
-    return pair
 
 
-def dmces_alg1(
-    g: LabeledDigraph | PosetDigraph, g2: LabeledDigraph | PosetDigraph
-) -> DmcesOutcome:
+def dmces_alg1(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
     """Branch-and-bound search with per-label cardinality pruning; inputs
     must be weakly connected, simple, and oriented."""
-    ga, gb = _require(g, g2)
-    value, phi = _pick_nodes(ga, gb, order_filter=False, path_budget=False)
-    return _outcome(ga, gb, value, phi, Solver.ALG1)
+    _require(g, g2)
+    value, phi = _pick_nodes(g, g2, order_filter=False, path_budget=False)
+    return _outcome(g, g2, value, phi, Solver.ALG1)
 
 
-def dmces_alg2(
-    g: LabeledDigraph | PosetDigraph, g2: LabeledDigraph | PosetDigraph
-) -> DmcesOutcome:
+def dmces_alg2(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
     """Alg 1 plus order-respecting pruning; inputs must be transitive
     closures (weakly connected, simple, oriented)."""
-    ga, gb = _require(g, g2, closure=True)
-    value, phi = _pick_nodes(ga, gb, order_filter=True, path_budget=False)
-    return _outcome(ga, gb, value, phi, Solver.ALG2)
+    _require(g, g2, closure=True)
+    value, phi = _pick_nodes(g, g2, order_filter=True, path_budget=False)
+    return _outcome(g, g2, value, phi, Solver.ALG2)
 
 
-def dmces_alg3(
-    g: LabeledDigraph | PosetDigraph, g2: LabeledDigraph | PosetDigraph
-) -> DmcesOutcome:
+def dmces_alg3(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
     """Alg 2 plus dead-image tracking; inputs must be transitive closures
     whose label classes are directed chains."""
-    ga, gb = _require(g, g2, closure=True, chains=True)
-    value, phi = _pick_nodes(ga, gb, order_filter=True, path_budget=True)
-    return _outcome(ga, gb, value, phi, Solver.ALG3)
+    _require(g, g2, closure=True, chains=True)
+    value, phi = _pick_nodes(g, g2, order_filter=True, path_budget=True)
+    return _outcome(g, g2, value, phi, Solver.ALG3)
 
 
 # the branches of a node whose label has no candidate: the skip alone

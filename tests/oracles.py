@@ -393,3 +393,12 @@ def score_by_edge_set(g, g2, phi: dict) -> int:
     return sum(
         1 for a, b in g.edges if a in phi and b in phi and (phi[a], phi[b]) in edges2
     )
+
+
+def transpose_by_bits(masks, order) -> tuple[int, ...]:
+    """Bit ``q`` of column ``p`` is bit ``order[p]`` of ``masks[order[q]]``,
+    read one bit at a time."""
+    n = len(order)
+    return tuple(
+        sum((masks[order[q]] >> order[p] & 1) << q for q in range(n)) for p in range(n)
+    )

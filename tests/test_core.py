@@ -48,6 +48,7 @@ from oracles import (
     reduction_by_networkx,
     report_by_networkx,
     topological_order_by_networkx,
+    transpose_by_bits,
 )
 
 
@@ -255,10 +256,17 @@ class TestLabeledDigraph:
         n = data.draw(st.integers(0, 70))
         masks = [data.draw(st.integers(0, (1 << n) - 1)) for _ in range(n)]
         order = data.draw(st.sampled_from((list(range(n)), data.draw(st.permutations(range(n))))))
-        columns = core_module._transpose(masks, order)
-        assert columns == tuple(
-            sum((masks[order[q]] >> order[p] & 1) << q for q in range(n)) for p in range(n)
-        )
+        assert core_module._transpose(masks, order) == transpose_by_bits(masks, order)
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2500])
+    def test_transpose_in_bands_reads_the_columns(self, n):
+        # one band up to 1 024 rows, then each band's columns ORed at its
+        # offset; a shuffled order puts every band's rows out of place
+        rng = random.Random(n)
+        masks = [rng.getrandbits(n) for _ in range(n)]
+        order = list(range(n))
+        rng.shuffle(order)
+        assert core_module._transpose(masks, order) == transpose_by_bits(masks, order)
 
     def test_adjacency_maps(self):
         g = diamond_graph()

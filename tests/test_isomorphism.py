@@ -11,6 +11,7 @@ from posetdist import (
     KindMismatch,
     LabeledDigraph,
     UndirectedGraph,
+    build_poset_digraph,
     eld_structure,
     extended_line_digraph,
     find_isomorphism,
@@ -54,6 +55,19 @@ class TestBasics:
             find_isomorphism(extended_line_digraph(g), g)
         with pytest.raises(KindMismatch, match="unsupported"):
             find_isomorphism(object(), object())
+
+    def test_a_poset_and_a_plain_digraph_are_one_kind(self):
+        # a poset is an instance of the plain type, so they compare either
+        # way round; an object with no edge labels is refused on either side
+        p = build_poset_digraph([("a", "x"), ("b", "x")], [("a", "b")])
+        g = LabeledDigraph(p.nodes, p.node_labels, p.edges)
+        assert find_isomorphism(p, g).as_dict() == {"a": "a", "b": "b"}
+        assert find_isomorphism(g, p).as_dict() == {"a": "a", "b": "b"}
+        with pytest.raises(KindMismatch, match="^cannot compare ExtendedLineDigraph"):
+            find_isomorphism(extended_line_digraph(p), p)
+        for pair in ((g, object()), (object(), p)):
+            with pytest.raises(KindMismatch, match="^unsupported graph type object$"):
+                find_isomorphism(*pair)
 
     def test_label_blocks_structure_match(self):
         g = LabeledDigraph(("a", "b"), {"a": "x", "b": "y"}, (("a", "b"),))

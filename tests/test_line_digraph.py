@@ -164,8 +164,8 @@ class TestProperties:
             [("a", "x"), ("b", "x"), ("c", "y")], [("a", "b"), ("b", "c")]
         )
         eld = extended_line_digraph(p)
-        assert eld == extended_line_digraph(p.graph)
-        assert eld.source is p.graph
+        assert eld == extended_line_digraph(LabeledDigraph(p.nodes, p.node_labels, p.edges))
+        assert eld.source is p
 
     def test_eld_structure_drops_directions(self):
         s = eld_structure(extended_line_digraph(diamond_graph()))

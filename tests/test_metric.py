@@ -12,11 +12,13 @@ import posetdist.metric as metric_module
 from posetdist import (
     DegenerateInput,
     DistanceResult,
+    KindMismatch,
     LabeledDigraph,
     NodeMatching,
     PosetDigraph,
     PropertyViolation,
     Solver,
+    UndirectedGraph,
     build_poset_digraph,
     choose_solver,
     compatibility_graph,
@@ -24,12 +26,27 @@ from posetdist import (
     d_n,
     dmces_alg1,
     dmces_alg2,
+    dmces_alg3,
+    dmces_bruteforce,
     dmces_via_clique,
     extended_line_digraph,
+    find_isomorphism,
+    graph_to_json,
+    induced_subgraph,
+    label_budget,
+    matched_edges,
     mcis,
     mcis_size,
     poset_distance,
+    predecessors,
+    respects_order_on_labels,
+    save_graph,
     score,
+    structure,
+    topological_sort,
+    transitive_reduction,
+    untwist,
+    validate_properties,
 )
 from posetdist.bench import seeded_pair
 from conftest import (
@@ -50,6 +67,11 @@ def long_open_path(n: int) -> LabeledDigraph:
         dict.fromkeys(ids, "a"),
         [(ids[i], ids[i + 1]) for i in range(n - 1)],
     )
+
+
+def plain(g: LabeledDigraph) -> LabeledDigraph:
+    """A fresh plain digraph with the nodes, labels and edges of ``g``."""
+    return LabeledDigraph(g.nodes, g.node_labels, g.edges)
 
 
 def single_edge(label_a: str, label_b: str, prime: str = "") -> LabeledDigraph:
@@ -377,10 +399,11 @@ class TestPosetDistance:
         p, q = self.shuffled_chains()
         eld, eld2 = extended_line_digraph(p), extended_line_digraph(q)
         assert d_n(eld, eld2) == d_e(p, q).distance == Fraction(1, 3)
-        assert d_n(p, q) == d_n(p.graph, q.graph)
-        assert mcis(p, q) == mcis(p.graph, q.graph)
-        assert mcis_size(p, q) == mcis_size(p.graph, q.graph)
-        assert compatibility_graph(p, q) == compatibility_graph(p.graph, q.graph)
+        a, b = plain(p), plain(q)
+        assert d_n(p, q) == d_n(a, b)
+        assert mcis(p, q) == mcis(a, b)
+        assert mcis_size(p, q) == mcis_size(a, b)
+        assert compatibility_graph(p, q) == compatibility_graph(a, b)
 
     def test_brute_takes_posets_through_solve(self):
         p, q = self.shuffled_chains()
@@ -406,3 +429,95 @@ class TestPosetDistance:
         r = poset_distance(p, p)
         assert r.solver is Solver.CLIQUE
         assert r.distance == 0
+
+
+def seeded_posets():
+    """Poset pairs from seeded closure and path-closure instances."""
+    for kind in ("closure", "path-closure"):
+        for seed in range(4):
+            g, g2 = seeded_pair(kind, 6 + seed, 3, 0.4, 100 + 2 * seed)
+            yield PosetDigraph(g), PosetDigraph(g2)
+
+
+def twisted(p: LabeledDigraph, phi: NodeMatching):
+    """``phi`` with the images of the first same-label edge it realizes
+    swapped, and that edge's pair: a twisted pair; None if there is none."""
+    m = phi.mapping
+    for (u, v), _ in sorted(matched_edges(p, p, phi)):
+        if p.node_labels[u] == p.node_labels[v]:
+            return NodeMatching(dict(m, **{u: m[v], v: m[u]}).items()), (u, v)
+    return None
+
+
+class TestPosetIsADigraph:
+    """A :class:`PosetDigraph` is a :class:`LabeledDigraph`, so every
+    function on digraphs takes one and returns what it returns on a plain
+    copy."""
+
+    def test_a_poset_is_its_own_digraph(self):
+        p = build_poset_digraph([("a", "x"), ("b", "y")], [("a", "b")])
+        assert isinstance(p, LabeledDigraph)
+        assert p.graph is p
+        assert p == p.graph
+        assert repr(p).startswith("PosetDigraph(nodes=('a', 'b'), node_labels=")
+        # equal fields, but a poset is not equal to a plain digraph
+        assert p != plain(p)
+
+    def test_every_digraph_function_returns_the_same_on_posets(self, tmp_path):
+        twists = 0
+        for p, q in seeded_posets():
+            a, b = plain(p), plain(q)
+            phi = poset_distance(p, q).witness
+            assert score(p, q, phi) == score(a, b, phi)
+            assert respects_order_on_labels(p, q, phi) == respects_order_on_labels(a, b, phi)
+            assert label_budget(p, q) == label_budget(a, b)
+            assert matched_edges(p, q, phi) == matched_edges(a, b, phi)
+            assert choose_solver(p, q) == choose_solver(a, b)
+            assert topological_sort(p) == topological_sort(a)
+            assert validate_properties(p) == validate_properties(a)
+            assert transitive_reduction(p) == transitive_reduction(a)
+            assert predecessors(p, p.nodes[-1]) == predecessors(a, a.nodes[-1])
+            assert induced_subgraph(p, p.nodes[:3]) == induced_subgraph(a, a.nodes[:3])
+            assert structure(p) == structure(a)
+            assert graph_to_json(p) == graph_to_json(a)
+            save_graph(p, tmp_path / "p.json")
+            save_graph(a, tmp_path / "a.json")
+            assert (tmp_path / "p.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+            assert find_isomorphism(p, q) == find_isomorphism(a, b)
+            found = twisted(p, poset_distance(p, p).witness)
+            if found is not None:
+                psi, pair = found
+                assert untwist(p, p, psi, pair) == untwist(a, a, psi, pair)
+                twists += 1
+        assert twists
+
+    def test_score_rechecks_a_poset_distance_witness(self):
+        for p, q in seeded_posets():
+            r = poset_distance(p, q)
+            assert score(p, q, r.witness) == r.dmces_value
+
+    def test_a_poset_compares_with_a_plain_digraph(self):
+        for p, q in seeded_posets():
+            assert mcis(p, plain(q)) == mcis(plain(p), plain(q))
+            bijection = find_isomorphism(p, plain(p))
+            assert bijection.pairs == tuple((v, v) for v in sorted(p.nodes))
+
+
+class TestNonDigraphsAreRefused:
+    """The solver entry points take labeled digraphs only, and refuse any
+    other graph with a typed error naming it."""
+
+    @pytest.mark.parametrize(
+        "solve_pair",
+        [d_e, dmces_alg1, dmces_alg2, dmces_alg3, dmces_via_clique, dmces_bruteforce],
+    )
+    def test_line_digraphs_and_undirected_graphs(self, solve_pair):
+        g, _ = chain_pair()  # passes every guard, so the second graph is reached
+        eld = extended_line_digraph(g)
+        ug = UndirectedGraph(("a", "b"), (("a", "b"),))
+        for other in (eld, ug):
+            name = type(other).__name__
+            with pytest.raises(KindMismatch, match=f"^first graph .* not {name}$"):
+                solve_pair(other, other)
+            with pytest.raises(KindMismatch, match=f"^second graph .* not {name}$"):
+                solve_pair(g, other)
