@@ -46,7 +46,11 @@ the bit-parallel way of BBMC (San Segundo, Rodriguez-Losada & Jimenez,
 2011), and keeps only the classes whose color exceeds the floor: the
 incumbent's size less the size of the clique being extended.  A clique
 drawn from the classes at or below the floor cannot beat the incumbent.
-Its witness is the lexicographically smallest maximum clique.
+Its witness is the lexicographically smallest maximum clique.  The
+relabel is the mirror image of the usual non-increasing degree order, so
+every walk over a mask takes the highest vertex first, the one
+``bit_length`` finds with no negative integer, and runs the same search
+as the lowest-first walk on the usual order, mirrored.
 
 The clique route's witness is the set of endpoint pairs of the clique's
 edge pairs, handed as it stands to the check every solver's witness
@@ -252,10 +256,11 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
     vertices chosen so far (first the size phase's whole clique); a vertex
     in that rest is taken at once, any other only when a yes/no search
     finds a clique that completes the choice, which then becomes the rest
-    held.  Every yes/no search reuses the size phase's ``nadj``.
+    held.  Every yes/no search reuses the size phase's ``nadj`` and bit
+    table.
     """
     nodes = g.nodes
-    order, radj, nadj, need, known = _size_phase(g.adjacency)
+    order, radj, nadj, bit, need, known = _size_phase(g.adjacency)
     n = len(order)
     pos = [0] * n
     for p, v in enumerate(order):
@@ -266,13 +271,15 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
         if not need:
             break
         p = pos[v]
-        bit = 1 << p
-        if not cand & bit:
+        b = bit[p]
+        if not cand & b:
             continue
-        if not known & bit:
-            found, rest = _search(radj, nadj, cand & radj[p], (need - 2, 0), need - 1)
+        if not known & b:
+            found, rest = _search(
+                radj, nadj, bit, cand & radj[p], (need - 2, 0), need - 1
+            )
             if found < need - 1:
-                cand &= ~bit
+                cand ^= b
                 continue
             known = rest
         witness.append(nodes[v])
@@ -287,74 +294,86 @@ def _some_max_clique(g: UndirectedGraph | CompatibilityGraph) -> list:
     witness walk.  For the callers that only need a clique's size, and
     check the clique they get."""
     nodes = g.nodes
-    order, _, _, _, clique = _size_phase(g.adjacency)
+    order, _, _, _, _, clique = _size_phase(g.adjacency)
     return [nodes[order[p]] for p in _bits(clique)]
 
 
 def _size_phase(
     adj: tuple[int, ...],
-) -> tuple[list[int], tuple[int, ...], tuple[int, ...], int, int]:
+) -> tuple[list[int], tuple[int, ...], tuple[int, ...], list[int], int, int]:
     """The size phase of :func:`max_clique` on the neighbour masks ``adj``,
-    as ``(order, radj, nadj, size, clique)``.
+    as ``(order, radj, nadj, bit, size, clique)``.
 
-    The search runs on the vertices relabelled by non-increasing degree
-    (ties by index), the initial order of Tomita-style coloring branch and
-    bound: position ``p`` is vertex ``order[p]``, ``radj`` holds the masks
-    relabelled, and ``nadj`` the complements of their closed
-    neighbourhoods, which the coloring reads.  At every branch point the
-    candidates are greedily colored into independent classes, one bitmask
-    each, in the bit-parallel way of BBMC (San Segundo et al., 2011; see
-    :func:`_color_classes`).  A partial clique extends only through the
-    classes whose color exceeds the floor, the incumbent's size less its
-    own (see :func:`_search`), and branching works down from the highest
-    color.  The search starts from a greedy clique as its incumbent, so a
-    graph whose greedy clique meets the root color bound needs no
-    branching.  ``clique`` is the mask, over positions, of the maximum
-    clique of ``size`` vertices that the search found."""
+    The search runs on the vertices relabelled by non-decreasing degree
+    (ties by descending index): the mirror image of the non-increasing
+    initial order of Tomita-style coloring branch and bound, so that every
+    walk over a mask takes its highest bit first, with ``mask.bit_length()``
+    and no negative integer.  Position ``p`` is vertex ``order[p]``,
+    ``radj`` holds the masks relabelled, ``nadj`` the complements of their
+    closed neighbourhoods, which the coloring reads, and ``bit[p]`` is
+    ``1 << p``, a table built for this search alone.  At every branch
+    point the candidates are greedily colored into independent classes,
+    one bitmask each, in the bit-parallel way of BBMC (San Segundo et al.,
+    2011; see :func:`_color_classes`).  A partial clique extends only
+    through the classes whose color exceeds the floor, the incumbent's
+    size less its own (see :func:`_search`), and branching works down from
+    the highest color.  The search starts from a greedy clique as its
+    incumbent, so a graph whose greedy clique meets the root color bound
+    needs no branching.  ``clique`` is the mask, over positions, of the
+    maximum clique of ``size`` vertices that the search found.
+
+    Mirrored, the search is the lowest-first search on the non-increasing
+    order: position ``p`` here is position ``n - 1 - p`` there, every
+    class, branch and incumbent is that search's mirrored, and so is the
+    clique found."""
     n = len(adj)
     degrees = [mask.bit_count() for mask in adj]
-    order = sorted(range(n), key=degrees.__getitem__, reverse=True)
+    order = sorted(reversed(range(n)), key=degrees.__getitem__)
     # adj is symmetric, so its transpose in this order is adj relabelled
     radj = _transpose(adj, order)
+    # per search, not core's shared table: grown to k, that would keep
+    # about k * k / 15 bytes (7 MB at k = 10 000) for the process's life
+    bit = [1 << p for p in range(n)]
     full = (1 << n) - 1
-    nadj = tuple([full ^ mask ^ 1 << p for p, mask in enumerate(radj)])
-    size, clique = _search(radj, nadj, full, _greedy_clique(radj), n)
-    return order, radj, nadj, size, clique
+    nadj = tuple([full ^ mask ^ b for mask, b in zip(radj, bit)])
+    size, clique = _search(radj, nadj, bit, full, _greedy_clique(radj), n)
+    return order, radj, nadj, bit, size, clique
 
 
 def _greedy_clique(adj: tuple[int, ...]) -> tuple[int, int]:
-    """A maximal clique, as (size, mask): from all vertices, take the lowest
-    candidate and keep only its neighbours, until none is left.  On
-    degree-relabelled masks that is the highest-degree vertex first."""
+    """A maximal clique, as (size, mask): from all vertices, take the
+    highest candidate and keep only its neighbours, until none is left.
+    On degree-relabelled masks that is the highest-degree vertex first."""
     size, clique, cand = 0, 0, (1 << len(adj)) - 1
     while cand:
-        v = (cand & -cand).bit_length() - 1
+        v = cand.bit_length() - 1
         size, clique, cand = size + 1, clique | 1 << v, cand & adj[v]
     return size, clique
 
 
 def _color_classes(
-    nadj: tuple[int, ...], cand: int, floor: int
+    nadj: tuple[int, ...], bit: list[int], cand: int, floor: int
 ) -> tuple[int, list[int]]:
     """Greedy coloring of the candidate set ``cand``, as (top, classes).
 
     Color ``c`` is an independent set of the candidates that colors
-    ``1 .. c-1`` left: it takes the lowest of them, keeps only those
+    ``1 .. c-1`` left: it takes the highest of them, keeps only those
     outside its closed neighbourhood (``nadj[v]`` is the complement of the
-    closed neighbourhood of ``v``), takes the lowest of those, and so on.
-    ``top`` is the number of colors, so no clique inside ``cand`` has more
-    than ``top`` vertices.  Every color is built, but ``classes`` holds
-    only the masks of the colors above ``floor``, in color order: a clique
-    drawn from the lower ones alone has at most ``floor`` vertices."""
+    closed neighbourhood of ``v``), takes the highest of those, and so on;
+    ``bit[v]`` is ``1 << v``.  ``top`` is the number of colors, so no
+    clique inside ``cand`` has more than ``top`` vertices.  Every color is
+    built, but ``classes`` holds only the masks of the colors above
+    ``floor``, in color order: a clique drawn from the lower ones alone
+    has at most ``floor`` vertices."""
     classes = []
     color = 0
     while cand:
         color += 1
         avail, cls = cand, 0
         while avail:
-            low = avail & -avail
-            cls |= low
-            avail &= nadj[low.bit_length() - 1]
+            v = avail.bit_length() - 1
+            cls |= bit[v]
+            avail &= nadj[v]
         cand ^= cls
         if color > floor:
             classes.append(cls)
@@ -364,6 +383,7 @@ def _color_classes(
 def _search(
     adj: tuple[int, ...],
     nadj: tuple[int, ...],
+    bit: list[int],
     cand: int,
     incumbent: tuple[int, int],
     stop: int,
@@ -371,7 +391,8 @@ def _search(
     """The largest clique inside ``cand`` when it has more vertices than
     the ``incumbent`` (size, mask), as (size, mask); else the incumbent.
     Returns as soon as it holds a clique of ``stop`` vertices.  ``nadj``
-    holds the complements of the closed neighbourhoods of ``adj``.
+    holds the complements of the closed neighbourhoods of ``adj``, and
+    ``bit`` the single bits the coloring ORs into its classes.
 
     Branch and bound on an explicit stack, so the clique size is not capped
     by the interpreter's recursion limit.  Each frame is ``[clique, size,
@@ -379,17 +400,18 @@ def _search(
     candidates (see :func:`_color_classes`) whose color exceeded the floor
     ``best - size`` when the frame was made, and ``top`` is the color of
     the last class, so ``size + top`` bounds every clique the frame can
-    still reach.  The frame branches on the highest vertex of its last
-    class; when that class runs out, ``top`` drops by one.  The frame is
-    popped as soon as ``size + top`` cannot beat the incumbent, which holds
-    at the latest when its classes run out: ``top`` is then at most the
-    floor, or 0 when the floor was negative and a larger clique has since
-    been found.  ``cand`` drops each vertex once its branch is done."""
+    still reach.  The frame branches on the lowest vertex of its last
+    class, the last one the coloring put there; when that class runs out,
+    ``top`` drops by one.  The frame is popped as soon as ``size + top``
+    cannot beat the incumbent, which holds at the latest when its classes
+    run out: ``top`` is then at most the floor, or 0 when the floor was
+    negative and a larger clique has since been found.  ``cand`` drops
+    each vertex once its branch is done."""
     best, best_clique = incumbent
     if not cand and best < 0:
         # an empty ``cand`` makes the root a leaf: the empty clique
         best, best_clique = 0, 0
-    top, classes = _color_classes(nadj, cand, best)
+    top, classes = _color_classes(nadj, bit, cand, best)
     stack = [[0, 0, cand, top, classes]]
     while stack:
         clique, size, cand, top, classes = frame = stack[-1]
@@ -397,17 +419,16 @@ def _search(
             stack.pop()
             continue
         cls = classes[-1]
-        v = cls.bit_length() - 1
-        bit = 1 << v
-        if cls == bit:
+        low = cls & -cls
+        if cls == low:
             classes.pop()
             frame[3] = top - 1
         else:
-            classes[-1] = cls ^ bit
-        frame[2] = cand ^ bit
-        clique, size, cand = clique | bit, size + 1, cand & adj[v]
+            classes[-1] = cls ^ low
+        frame[2] = cand ^ low
+        clique, size, cand = clique | low, size + 1, cand & adj[low.bit_length() - 1]
         if cand:
-            top, classes = _color_classes(nadj, cand, best - size)
+            top, classes = _color_classes(nadj, bit, cand, best - size)
             stack.append([clique, size, cand, top, classes])
         elif size > best:
             best, best_clique = size, clique

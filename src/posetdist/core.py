@@ -98,7 +98,7 @@ class LabeledDigraph:
             raise ValueError("duplicate node ids")
         labels = {v: node_labels[v] for v in node_tup}  # KeyError = missing label
         pairs = list(map(tuple, edges))
-        bit = [1 << i for i in range(n)]
+        bit = _bit_table(n)
         out = [0] * n
         inn = [0] * n
         try:
@@ -119,6 +119,15 @@ class LabeledDigraph:
         if sum(map(int.bit_count, out)) != len(pairs):
             pairs = dict.fromkeys(pairs)
         _set_graph(self, node_tup, labels, tuple(pairs), (index, tuple(out), tuple(inn)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash, computed once per graph object.  It agrees with ``==``,
+        which compares the nodes, the labels as a mapping and the edges."""
+        return hash((self.nodes, frozenset(self.node_labels.items()), self.edges))
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -479,11 +488,11 @@ def _bit_flags(mask: int) -> bytes:
 def _dense(mask: int) -> bool:
     """True when :func:`_image` sums over ``mask`` with one ``compress``.
 
-    ``compress`` costs about as much as walking seven set bits, plus one
-    bit per sixteen positions of the mask's bit length: the crossover of
-    the two ways on tables of single bits, at bit lengths 10 to 400 (2
-    vCPU, Python 3.11)."""
-    return mask.bit_count() * 16 > mask.bit_length() + 112
+    ``compress`` costs about as much as walking nine set bits, highest
+    first, plus one bit per six positions of the mask's bit length: the
+    crossover of the two ways on tables of single bits, at bit lengths 10
+    to 400 (2 vCPU, Python 3.11)."""
+    return mask.bit_count() * 6 > mask.bit_length() + 54
 
 
 def _image(mask: int, table: Sequence[int]) -> int:
@@ -491,14 +500,17 @@ def _image(mask: int, table: Sequence[int]) -> int:
     of them when the entries share no bit, as the image bits of an
     injective map do.  A :func:`_dense` mask is one C-level ``compress``
     of ``table`` by its :func:`_bit_flags`; any other walks its set bits,
-    lowest first."""
+    highest first, through the shared bit table."""
     if _dense(mask):
         return sum(compress(table, _bit_flags(mask)))
+    bit = _BIT
+    if len(bit) < len(table):
+        bit = _bit_table(len(table))
     image = 0
     while mask:
-        low = mask & -mask
-        image += table[low.bit_length() - 1]
-        mask ^= low
+        v = mask.bit_length() - 1
+        image += table[v]
+        mask ^= bit[v]
     return image
 
 
@@ -535,12 +547,16 @@ def _descendants_along(out: Sequence[int], order: Sequence[int]) -> list[int]:
 
 
 def _union(masks: Sequence[int], mask: int) -> int:
-    """The OR of ``masks[j]`` over the set bits ``j`` of ``mask``."""
+    """The OR of ``masks[j]`` over the set bits ``j`` of ``mask``, walked
+    highest first through the shared bit table."""
+    bit = _BIT
+    if len(bit) < len(masks):
+        bit = _bit_table(len(masks))
     union = 0
     while mask:
-        low = mask & -mask
-        union |= masks[low.bit_length() - 1]
-        mask ^= low
+        v = mask.bit_length() - 1
+        union |= masks[v]
+        mask ^= bit[v]
     return union
 
 
@@ -697,17 +713,18 @@ def _smallest_first_order(g: LabeledDigraph) -> tuple[NodeId, ...]:
         rank[i] = r
     ready = [rank[i] for i, m in enumerate(inn) if not m]
     heapq.heapify(ready)
+    bit = _bit_table(len(nodes))
     left = (1 << len(nodes)) - 1
     order = []
     while ready:
         i = by_id[heapq.heappop(ready)]
         order.append(nodes[i])
-        left ^= 1 << i
+        left ^= bit[i]
+        # the heap orders the ready nodes, so any walk order will do
         x = step[i]
         while x:
-            low = x & -x
-            x ^= low
-            j = low.bit_length() - 1
+            j = x.bit_length() - 1
+            x ^= bit[j]
             if not inn[j] & left:
                 heapq.heappush(ready, rank[j])
     if len(order) != len(nodes):
@@ -777,6 +794,30 @@ def _transpose(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
 
 # rows per band of :func:`_transpose`: up to this many vertices, one band
 _BAND = 1024
+
+
+def _bit_table(width: int) -> list[int]:
+    """The shared table of single bits, ``table[i] == 1 << i``, covering
+    at least the positions below ``width``.
+
+    The walks over node sets take a mask's highest set bit with
+    ``bit_length`` and clear it through this table, which is cheaper than
+    isolating the lowest bit with ``mask & -mask``: CPython ANDs a
+    negative integer on a slow path.  A walk binds the table to a local
+    once per call.  The table starts empty and grows to the widest width
+    asked for, so it holds no more than the largest graph the process
+    has walked.  A wider request replaces it with a longer copy and never
+    shrinks it, so a table that a walk holds stays valid, and two growths
+    that race both return a correct table."""
+    global _BIT
+    table = _BIT
+    if len(table) < width:
+        table = _BIT = table + [1 << i for i in range(len(table), width)]
+    return table
+
+
+# the shared bit table of :func:`_bit_table`
+_BIT: list[int] = []
 
 
 # the binary digits "0" and "1" as the bytes 0 and 1

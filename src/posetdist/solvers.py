@@ -28,7 +28,8 @@ never changes the value or the reported witness; it only skips work.
 Node sets are bitmasks over each graph's cached ``adjacency_masks``, and
 a set of nodes of ``g`` is carried through a matching by
 :func:`core._image`: one C-level ``compress`` over a dense mask, a walk
-over its set bits otherwise.  The search maps each node's mapped
+over its set bits otherwise, highest first through the shared bit table
+of :func:`core._bit_table`.  The search maps each node's mapped
 neighbours this way, and :func:`score`, the witness check of every
 solver, maps each mapped node's out-neighbours, one popcount per pair.
 """
@@ -40,7 +41,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
-from .core import LabeledDigraph, _bits, _dense, _image, topological_sort
+from .core import LabeledDigraph, _bit_table, _bits, _dense, _image, topological_sort
 from .errors import (
     DegenerateInput,
     InvalidMatching,
@@ -409,11 +410,13 @@ def _pick_nodes(
       out-neighbours, so candidate ``j`` realizes the edges in
       ``a_in & in2[j]`` and ``a_out & out2[j]``.  Each is the sum of
       ``img_bit`` over a neighbour mask: :func:`core._image` for a node
-      with a dense mask, its walk inline for any other.  Under the order
-      filter every out-neighbour comes later, so ``a_out`` is 0;
+      with a dense mask, its walk inline for any other, highest bit
+      first.  Under the order filter every out-neighbour comes later, so
+      ``a_out`` is 0;
     - ``avail`` holds the candidates that are unused, not dead and (order
       filter) not in-neighbours of the image of a same-label in-neighbour,
-      that is, not in the union of ``img_in2`` over those neighbours;
+      that is, not in ``cross``, the union of ``img_in2`` over those
+      neighbours, walked the same way;
     - ``free`` and ``slack`` serve alg3's image-supply test.
     """
     index, out, inn = g.adjacency_masks
@@ -455,6 +458,7 @@ def _pick_nodes(
     # the in-mask of its image
     img_bit = [0] * n
     img_in2 = [0] * n
+    bit = _bit_table(n)
     best = -1
     best_pairs: tuple[tuple[str, str], ...] = ()
     stack: list[tuple] = []
@@ -479,19 +483,19 @@ def _pick_nodes(
                 # _image's walk, inline: neither full neighbour mask is dense
                 a_in = a_out = 0
                 while x:
-                    low = x & -x
-                    x ^= low
-                    a_in += img_bit[low.bit_length() - 1]
+                    v = x.bit_length() - 1
+                    x ^= bit[v]
+                    a_in += img_bit[v]
                 while y:
-                    low = y & -y
-                    y ^= low
-                    a_out += img_bit[low.bit_length() - 1]
+                    v = y.bit_length() - 1
+                    y ^= bit[v]
+                    a_out += img_bit[v]
             cross = 0
             x = in_m & mapped & same_m
             while x:
-                low = x & -x
-                x ^= low
-                cross |= img_in2[low.bit_length() - 1]
+                v = x.bit_length() - 1
+                x ^= bit[v]
+                cross |= img_in2[v]
             bound -= ((in_m | out_m) & (mapped | skipped)).bit_count()
             free = cls2 & ~used & ~dead_images
             slack = spare - (dead_images & cls2).bit_count()

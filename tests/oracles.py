@@ -146,8 +146,9 @@ def color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
     """Greedy coloring of the vertices in ``cand`` on the neighbour masks
     ``adj``, as a list of (vertex, color) in coloring order: color ``c``
     takes the lowest vertex not yet colored, then every higher one with no
-    neighbour among those color ``c`` holds so far.  The clique search's
-    class masks must reproduce it color for color."""
+    neighbour among those color ``c`` holds so far.  The clique search,
+    which takes the highest vertex first, must reproduce it color for
+    color on the mirrored graph, its classes mirrored back."""
     order: list[tuple[int, int]] = []
     left = cand
     color = 0

@@ -1,5 +1,6 @@
 """Compatibility graphs, exact maximum clique, and the clique route."""
 
+import hashlib
 import itertools
 import sys
 import warnings
@@ -191,6 +192,17 @@ class TestMaxClique:
         # the witness too: the lexicographically smallest maximum clique
         assert max_clique(g) == subset_max_clique(g)
 
+    def test_a_known_clique_among_more_than_1024_vertices(self):
+        # a 1 100-cycle with a 5-clique planted on vertices 10 apart, so no
+        # cycle edge joins two of them: the planted clique is the only
+        # clique past an edge.  The search's bit table and its relabel (two
+        # transpose bands) must cover every vertex
+        n, planted = 1100, range(1030, 1080, 10)
+        cycle = ((v, (v + 1) % n) for v in range(n))
+        g = UndirectedGraph(range(n), (*cycle, *itertools.combinations(planted, 2)))
+        assert max_clique(g) == frozenset(planted)
+        assert sorted(clique_module._some_max_clique(g)) == list(planted)
+
     @given(undirected_graphs())
     def test_the_size_phase_clique_is_a_maximum_clique(self, g):
         # any maximum clique, not the canonical one: no witness walk
@@ -256,7 +268,22 @@ def _complements(adj: tuple[int, ...]) -> tuple[int, ...]:
 
 def _search(g: UndirectedGraph, cand: int, incumbent: tuple, stop: int) -> tuple:
     adj = g.adjacency
-    return clique_module._search(adj, _complements(adj), cand, incumbent, stop)
+    bit = [1 << v for v in range(len(adj))]
+    return clique_module._search(adj, _complements(adj), bit, cand, incumbent, stop)
+
+
+def _mirror(mask: int, n: int) -> int:
+    """``mask`` with bit ``v`` moved to bit ``n - 1 - v``, for ``v < n``."""
+    return sum(1 << n - 1 - v for v in range(n) if mask >> v & 1)
+
+
+def _mirrored(g: UndirectedGraph) -> UndirectedGraph:
+    """``g`` on ``range(n)`` with vertex ``v`` renamed ``n - 1 - v``.  The
+    clique kernel takes the highest vertex where the lowest-first search
+    it mirrors takes the lowest, so on the mirrored graph it must meet the
+    same classes, branches and cliques, mirrored."""
+    n = len(g.nodes)
+    return UndirectedGraph(range(n), ((n - 1 - a, n - 1 - b) for a, b in g.edges))
 
 
 # a 5-cycle: no triangle, and three colors
@@ -266,22 +293,28 @@ FIVE_CYCLE = UndirectedGraph(range(5), ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
 class TestColorClasses:
     @given(undirected_graphs(), st.data())
     def test_classes_are_the_colors_above_the_floor(self, g, data):
-        adj, n = g.adjacency, len(g.nodes)
+        # the kernel colors the mirrored graph highest first; mirrored
+        # back, its classes are the lowest-first colors of the oracle
+        n = len(g.nodes)
         cand = data.draw(st.integers(0, (1 << n) - 1))
         floor = data.draw(st.integers(-1, n + 1))
-        top, classes = clique_module._color_classes(_complements(adj), cand, floor)
-        order = color_order(adj, cand)
+        adj = _mirrored(g).adjacency
+        bit = [1 << v for v in range(n)]
+        top, classes = clique_module._color_classes(
+            _complements(adj), bit, _mirror(cand, n), floor
+        )
+        order = color_order(g.adjacency, cand)
         colors = max((color for _, color in order), default=0)
         by_color = [
             sum(1 << v for v, c in order if c == color) for color in range(1, colors + 1)
         ]
         assert top == colors
         # the colors above the floor in color order, and nothing at or below it
-        assert classes == by_color[max(floor, 0) :]
+        assert [_mirror(cls, n) for cls in classes] == by_color[max(floor, 0) :]
         # disjoint independent sets of candidates, none of them empty
         seen = 0
         for cls in classes:
-            assert cls and not cls & seen and not cls & ~cand
+            assert cls and not cls & seen and not cls & ~_mirror(cand, n)
             assert not any(adj[v] & cls for v in range(n) if cls >> v & 1)
             seen |= cls
 
@@ -290,11 +323,13 @@ class TestSearch:
     @pytest.mark.parametrize("mask", [0b11, 0, 0b10101], ids=["edge", "empty", "foreign"])
     def test_an_unbeaten_incumbent_comes_back_unchanged(self, mask):
         # the mask is returned as given, even when it is no clique of cand
-        assert _search(FIVE_CYCLE, 0b11111, (2, mask), 5) == (2, mask)
+        mirrored = _mirror(mask, 5)
+        assert _search(_mirrored(FIVE_CYCLE), 0b11111, (2, mirrored), 5) == (2, mirrored)
 
     @given(undirected_graphs(), st.data())
     def test_incumbent_of_the_largest_size_comes_back_unchanged(self, g, data):
         n = len(g.nodes)
+        g = _mirrored(g)
         cand = data.draw(st.integers(0, (1 << n) - 1))
         inside = UndirectedGraph(
             [v for v in g.nodes if cand >> v & 1],
@@ -311,19 +346,69 @@ class TestSearch:
         )
 
     def test_returns_as_soon_as_it_holds_stop_vertices(self):
-        # the triangle {0, 2, 3} is the largest clique, but the search
-        # branches on 4 first (the highest vertex of the top color class
-        # {3, 4}) and meets the edge {2, 4} at its first leaf
-        g = UndirectedGraph(range(5), ((0, 2), (0, 3), (1, 4), (2, 3), (2, 4)))
-        assert _search(g, 0b11111, (-1, 0), 2) == (2, 0b10100)
-        assert _search(g, 0b11111, (-1, 0), 3) == (3, 0b01101)
+        # the triangle {0, 2, 3} is the largest clique, but the lowest-first
+        # search branches on 4 first (the highest vertex of the top color
+        # class {3, 4}) and meets the edge {2, 4} at its first leaf; on the
+        # mirrored graph the kernel branches on 0, the lowest vertex of
+        # {0, 1}, and meets the edge {0, 2}
+        g = _mirrored(UndirectedGraph(range(5), ((0, 2), (0, 3), (1, 4), (2, 3), (2, 4))))
+        assert _search(g, 0b11111, (-1, 0), 2) == (2, 0b00101)
+        assert _search(g, 0b11111, (-1, 0), 3) == (3, 0b10110)
 
     @pytest.mark.parametrize(
         "g", [UndirectedGraph((), ()), FIVE_CYCLE], ids=["no-vertex", "five-cycle"]
     )
     def test_no_candidates_and_no_incumbent_give_the_empty_clique(self, g):
-        assert _search(g, 0, (-1, 0), len(g.nodes)) == (0, 0)
-        assert _search(g, 0, (1, 0b1), len(g.nodes)) == (1, 0b1)
+        g = _mirrored(g)
+        n = len(g.nodes)
+        top = 1 << max(n - 1, 0)  # the mirror of vertex 0, or foreign
+        assert _search(g, 0, (-1, 0), n) == (0, 0)
+        assert _search(g, 0, (1, top), n) == (1, top)
+
+
+# SHA-256 over repr of the clique route's results on every cell of wso
+# sizes (6, 8, 10, 12, 14) and closure sizes (6, 8, 10) x labels (2, 3) x
+# density (0.3, 0.5) x seed (0, 2), and the number of colorings the
+# searches ran, one per search node.  Per pair: the dmces_via_clique
+# outcome; mcis on the line digraphs (size and sorted pairs), and mcis_size
+# on them; the sorted clique of the size phase alone; mcis_size and the
+# sorted mcis pairs of the two digraphs themselves.  A change to the
+# kernel's layout or walk order must leave every result and every search
+# node as it was.
+CLIQUE_ROUTE_DIGEST = "5b5bea8941c5d9038e57a1fc91ed8f161718a5f784b16024655e1b6f08d0ff25"
+CLIQUE_ROUTE_COLORINGS = 57977
+
+
+def test_clique_route_outcomes_and_search_nodes_are_pinned(monkeypatch):
+    colorings = 0
+    color_classes = clique_module._color_classes
+
+    def counted(*args):
+        nonlocal colorings
+        colorings += 1
+        return color_classes(*args)
+
+    monkeypatch.setattr(clique_module, "_color_classes", counted)
+    digest = hashlib.sha256()
+    for kind, sizes in (("wso", (6, 8, 10, 12, 14)), ("closure", (6, 8, 10))):
+        cells = itertools.product(sizes, (2, 3), (0.3, 0.5), (0, 2))
+        for nodes, labels, density, seed in cells:
+            g, g2 = seeded_pair(kind, nodes, labels, density, seed)
+            eld, eld2 = extended_line_digraph(g), extended_line_digraph(g2)
+            size, pairs = mcis(eld, eld2)
+            found = clique_module._some_max_clique(clique_module._edge_pair_graph(g, g2))
+            results = (
+                dmces_via_clique(g, g2),
+                size,
+                sorted(pairs),
+                mcis_size(eld, eld2),
+                sorted(found),
+                mcis_size(g, g2),
+                sorted(mcis(g, g2)[1]),
+            )
+            digest.update(repr(results).encode())
+    assert digest.hexdigest() == CLIQUE_ROUTE_DIGEST
+    assert colorings == CLIQUE_ROUTE_COLORINGS
 
 
 class TestMcis:
@@ -619,7 +704,7 @@ class TestValuePath:
         self, graphs, monkeypatch
     ):
         # every vertex at once: shares coordinates, so no clique
-        def every_vertex(adj, nadj, cand, incumbent, stop):
+        def every_vertex(adj, nadj, bit, cand, incumbent, stop):
             return len(adj), (1 << len(adj)) - 1
 
         monkeypatch.setattr(clique_module, "_search", every_vertex)

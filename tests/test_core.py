@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import posetdist.core as core_module
 from posetdist import (
     AntisymmetryViolation,
+    NodeMatching,
     CycleDetected,
     DegeneratePoset,
     LabeledDigraph,
@@ -22,6 +23,7 @@ from posetdist import (
     induced_subgraph,
     line_graph,
     predecessors,
+    score,
     structure,
     topological_sort,
     transitive_closure,
@@ -283,6 +285,17 @@ class TestLabeledDigraph:
         assert g.label_indices == {"x": (2, 3, 0), "y": (1,)}
         assert g.label_masks == {"x": 0b1101, "y": 0b0010}
 
+    def test_equal_graphs_hash_equal(self):
+        g = LabeledDigraph(("a", "b"), {"a": "x", "b": "y"}, (("a", "b"),))
+        same = LabeledDigraph(["a", "b"], {"b": "y", "a": "x"}, [("a", "b")])
+        assert g == same and hash(g) == hash(same)
+        assert {g: "g"}[same] == "g" and len({g, same}) == 1
+        assert "_hash" in vars(g)  # computed once per graph object
+        p = build_poset_digraph([("a", "x"), ("b", "y")], [("a", "b")])
+        assert p == PosetDigraph(same) and hash(p) == hash(PosetDigraph(same))
+        # a poset never equals a plain digraph, though it may hash alike
+        assert len({p, g}) == 2
+
     def test_relabel_carries_labels_and_edges(self):
         g = diamond_graph()
         m = {"u": "1", "v": "2", "w": "3", "x": "4"}
@@ -461,8 +474,9 @@ class TestValidateProperties:
         edges = core_module._edges(nodes, masks)
         assert edges == mask_edges_by_bits(nodes, masks)
 
-    @pytest.mark.parametrize("n", [16, 40, 80, 200, 1000])
-    def test_image_matches_a_bit_by_bit_sum(self, n):
+    @pytest.mark.parametrize("n", [16, 40, 80, 200, 1000, 1025, 3000])
+    def test_image_matches_a_bit_by_bit_sum(self, n, monkeypatch):
+        monkeypatch.setattr(core_module, "_BIT", [])  # the walk must grow it
         # seeded masks from no bit to every bit, so that every size has
         # masks on both sides of the crossover; the table's entries overlap
         rng = random.Random(n)
@@ -477,14 +491,37 @@ class TestValidateProperties:
             assert core_module._bit_flags(m) == flags
             assert core_module._image(m, table) == image_by_bits(m, table)
 
-    def test_long_path_validates_and_sorts(self):
+    def test_long_path_validates_and_sorts(self, monkeypatch):
+        # each walk below starts from an empty shared bit table, so each
+        # must grow it to the graph's width itself
         ids = [f"v{i:04d}" for i in range(3000)]
+        sparse = sum(1 << i for i in range(0, 3000, 97))
+        assert not core_module._dense(sparse)
         for labels in (dict.fromkeys(ids, "x"), {v: v for v in ids}):
             g = LabeledDigraph(ids, labels, zip(ids, ids[1:]))
+            monkeypatch.setattr(core_module, "_BIT", [])
             r = validate_properties(g)
             assert r.is_wso and r.is_acyclic and r.per_label_path
             assert not r.is_transitively_closed
+            monkeypatch.setattr(core_module, "_BIT", [])
             assert topological_sort(g) == ids
+            monkeypatch.setattr(core_module, "_BIT", [])
+            assert score(g, g, NodeMatching(zip(ids, ids))) == len(ids) - 1
+            monkeypatch.setattr(core_module, "_BIT", [])
+            out = g.adjacency_masks[1]
+            assert core_module._image(sparse, out) == image_by_bits(sparse, out) == sparse << 1
+
+    def test_bit_table_grows_to_cover_every_width(self, monkeypatch):
+        monkeypatch.setattr(core_module, "_BIT", [])
+        start = core_module._BIT
+        table = core_module._bit_table(1500)
+        assert table is core_module._BIT and table == [1 << i for i in range(1500)]
+        # a longer copy, so a table that a walk holds stays as it was
+        assert start == []
+        assert core_module._bit_table(10) is table
+        wider = core_module._bit_table(2500)
+        assert len(table) == 1500 and wider[:1500] == table and len(wider) == 2500
+        assert wider[-1] == 1 << 2499
 
 
 class TestBuildPoset:
@@ -784,7 +821,7 @@ def test_equal_closures_compare_equal():
             (("a", "c"), ("b", "c"), ("a", "b")),
         )
     )
-    assert a == b
+    assert a == b and hash(a) == hash(b)
 
 
 def test_property_report_is_wso_summary():
