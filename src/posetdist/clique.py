@@ -22,11 +22,15 @@ exclusion makes every clique project to an injective map on either side.
 
 :class:`CompatibilityGraph` holds the pairs (``pair_index``) and one
 neighbour bitmask per vertex (``adjacency``), which :func:`max_clique`
-searches directly.  Neither build compares two vertices.  Each puts the
-other nodes ``m`` of a node ``n`` into a handful of signature classes and
-ORs together the masks of their vertices; the neighbours of (n, n') are
-then the vertices that lie in the same class on both sides, a few
-big-integer operations per vertex.
+searches directly, and the screening bound of its vertex classes
+(``bound``), where that search stops.  Both builds enumerate their
+vertices with :func:`_vertices`, pairing items of equal key: nodes by
+(label, self-loop label), or edges by ``endpoint_labels``, the labels of
+their line-digraph nodes.  Neither build compares two vertices.  Each
+puts the other nodes ``m`` of a node ``n`` into a handful of signature
+classes and ORs together the masks of their vertices; the neighbours of
+(n, n') are then the vertices that lie in the same class on both sides,
+a few big-integer operations per vertex.
 
 - :func:`compatibility_graph` reads any graph through its ``nodes``,
   ``node_labels`` and ``edge_label_map`` and classes ``m`` by the
@@ -73,25 +77,32 @@ search and no witness walk.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable
 
-from .core import Edge, LabeledDigraph, UndirectedGraph, _bits, _transpose
+from .core import Edge, LabeledDigraph, UndirectedGraph, _bits, _grouped, _transpose
 from .isomorphism import MISSING, require_same_kind
 from .line_digraph import ExtendedLineDigraph
-from .solvers import DmcesOutcome, NodeMatching, Solver, _outcome, _require
+from .solvers import DmcesOutcome, NodeMatching, Solver, _outcome, _require, _screening_bound
 
 
 @dataclass(frozen=True)
 class CompatibilityGraph:
     """The compatibility graph on vertices ``0 .. k-1``: vertex ``i`` stands
     for ``pair_index[i]``, and bit ``j`` of ``adjacency[i]`` is set when
-    vertices ``i`` and ``j`` are adjacent."""
+    vertices ``i`` and ``j`` are adjacent.  ``bound`` caps its clique
+    size; :func:`max_clique`'s size phase stops once it holds a clique
+    that large.  Both builds set it to the screening bound of their vertex
+    classes (see :func:`_vertices`), and it is the vertex count on a graph
+    made any other way.  It takes no part in equality."""
 
     pair_index: tuple[tuple[Hashable, Hashable], ...]
     adjacency: tuple[int, ...]
+    bound: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bound", len(self.pair_index))
 
     @property
     def nodes(self) -> range:
@@ -111,28 +122,52 @@ class CompatibilityGraph:
         return self.pair_index[node]
 
 
+def _vertices(items, keys, classes2: dict) -> tuple[list, dict, dict, list]:
+    """The vertices of a compatibility graph: each of the first graph's
+    ``items`` paired with every item of the second graph that has its key,
+    where ``keys`` holds the items' keys in order and ``classes2`` the
+    second graph's items by key, in item order.  Returns ``(pairs, rows,
+    cols, buckets)``: the pairs in ``items`` order and, within an item, in
+    its class's order; the mask of the vertices of each item, per side;
+    and each item's class in ``classes2``.  The vertices of one item are
+    consecutive, and those of the ``j``-th item of a class sit at offset
+    ``j`` from the start of every item with its key, so each mask is one
+    shift."""
+    # starts: key -> one bit at the first vertex of each item with that key
+    pairs, buckets, rows, starts = [], [], {}, {}
+    for item, key in zip(items, keys):
+        bucket = classes2.get(key, ())
+        buckets.append(bucket)
+        rows[item] = ((1 << len(bucket)) - 1) << len(pairs)
+        starts[key] = starts.get(key, 0) | 1 << len(pairs)
+        pairs.extend((item, item2) for item2 in bucket)
+    cols = {
+        item2: starts.get(key, 0) << j
+        for key, bucket in classes2.items()
+        for j, item2 in enumerate(bucket)
+    }
+    return pairs, rows, cols, buckets
+
+
+def _compatibility(pairs: list, adjacency: list, bound: int) -> CompatibilityGraph:
+    comp = CompatibilityGraph(tuple(pairs), tuple(adjacency))
+    object.__setattr__(comp, "bound", bound)
+    return comp
+
+
 def compatibility_graph(g, g2) -> CompatibilityGraph:
     """Build the compatibility graph of two graphs of the same kind
     (extended line digraphs welcome; their HT/TT/HH edge labels then take
     part in the agreement condition).  Raises :class:`KindMismatch` on two
-    graphs of different kinds (see :func:`require_same_kind`)."""
+    graphs of different kinds (see :func:`require_same_kind`).  Its
+    vertices pair the nodes of equal (label, self-loop label)."""
     require_same_kind(g, g2)
-    labels, labels2 = g.node_labels, g2.node_labels
     ea, eb = g.edge_label_map, g2.edge_label_map
-    # the nodes of g2 by (label, self-loop label), each bucket in node order
-    buckets: dict = {}
-    for n2 in g2.nodes:
-        buckets.setdefault((labels2[n2], eb.get((n2, n2), MISSING)), []).append(n2)
-    pairs = [
-        (n, n2)
-        for n in g.nodes
-        for n2 in buckets.get((labels[n], ea.get((n, n), MISSING)), ())
-    ]
-    rows = dict.fromkeys(g.nodes, 0)
-    cols = dict.fromkeys(g2.nodes, 0)
-    for i, (n, n2) in enumerate(pairs):
-        rows[n] |= 1 << i
-        cols[n2] |= 1 << i
+    keys = [(g.node_labels[n], ea.get((n, n), MISSING)) for n in g.nodes]
+    classes2 = _grouped(
+        g2.nodes, [(g2.node_labels[n2], eb.get((n2, n2), MISSING)) for n2 in g2.nodes]
+    )
+    pairs, rows, cols, _ = _vertices(g.nodes, keys, classes2)
     full = (1 << len(pairs)) - 1
     row_groups = _signature_groups(ea, rows, full)
     col_groups = _signature_groups(eb, cols, full)
@@ -144,7 +179,8 @@ def compatibility_graph(g, g2) -> CompatibilityGraph:
             if sig in col:
                 mask |= group & col[sig]
         adjacency.append(mask)
-    return CompatibilityGraph(tuple(pairs), tuple(adjacency))
+    bound = _screening_bound(_grouped(g.nodes, keys), classes2)
+    return _compatibility(pairs, adjacency, bound)
 
 
 def _signature_groups(edge_labels: dict, own: dict, full: int) -> dict:
@@ -173,43 +209,27 @@ def _signature_groups(edge_labels: dict, own: dict, full: int) -> dict:
 def _edge_pair_graph(g: LabeledDigraph, g2: LabeledDigraph) -> CompatibilityGraph:
     """The compatibility graph of the extended line digraphs of two simple,
     oriented digraphs, built from the digraphs: equal to
-    ``compatibility_graph(extended_line_digraph(g), extended_line_digraph(g2))``.
+    ``compatibility_graph(extended_line_digraph(g), extended_line_digraph(g2))``,
+    bound included.
 
     Vertex ``i`` is the edge pair ``pair_index[i]``, in ``g.edges`` order
-    and, within it, in ``g2.edges`` order.  The vertices of one edge of
-    ``g`` are consecutive, and the vertices of the ``j``-th edge in a
-    bucket of ``g2`` sit at offset ``j`` from the start of every edge of
-    ``g`` in that bucket, so every edge's vertex mask is one shift."""
-    # the edges of g2 by (tail label, head label), each bucket in edge order
-    buckets: dict = {}
-    for e2, key in zip(g2.edges, g2.endpoint_labels):
-        buckets.setdefault(key, []).append(e2)
-    pairs: list = []
-    row_buckets, rows = [], {}
-    starts: dict = {}  # bucket -> one bit at the first vertex of each edge of g
-    for e, key in zip(g.edges, g.endpoint_labels):
-        bucket = buckets.get(key, ())
-        row_buckets.append(bucket)
-        rows[e] = ((1 << len(bucket)) - 1) << len(pairs)
-        starts[key] = starts.get(key, 0) | 1 << len(pairs)
-        pairs.extend((e, e2) for e2 in bucket)
-    cols = {
-        e2: starts.get(key, 0) << j
-        for key, bucket in buckets.items()
-        for j, e2 in enumerate(bucket)
-    }
+    and, within it, in ``g2.edges`` order: :func:`_vertices` on the edges
+    keyed by ``endpoint_labels``, the labels of their line-digraph nodes."""
+    classes2 = g2.endpoint_classes
+    pairs, rows, cols, buckets = _vertices(g.edges, g.endpoint_labels, classes2)
     full = (1 << len(pairs)) - 1
     row_classes = _edge_classes(g, rows, full)
     col_classes = _edge_classes(g2, cols, full)
     adjacency = []
-    for e, bucket in zip(g.edges, row_buckets):
+    for e, bucket in zip(g.edges, buckets):
         tt, ht_in, ht_out, hh, none = row_classes[e]
         for e2 in bucket:
             tt2, ht_in2, ht_out2, hh2, none2 = col_classes[e2]
             adjacency.append(
                 tt & tt2 | ht_in & ht_in2 | ht_out & ht_out2 | hh & hh2 | none & none2
             )
-    return CompatibilityGraph(tuple(pairs), tuple(adjacency))
+    bound = _screening_bound(g.endpoint_classes, classes2)
+    return _compatibility(pairs, adjacency, bound)
 
 
 def _compat_vertices(g: LabeledDigraph, g2: LabeledDigraph) -> int:
@@ -218,8 +238,8 @@ def _compat_vertices(g: LabeledDigraph, g2: LabeledDigraph) -> int:
     ``endpoint_labels``, counted per class; k <= |E| * |E'|.  It is the
     one cost measure of that route: every clique gate reads it, both in
     ``metric.choose_solver`` and in the audit (``bench.check_pair``)."""
-    other = Counter(g2.endpoint_labels)
-    return sum(n * other[key] for key, n in Counter(g.endpoint_labels).items())
+    classes2 = g2.endpoint_classes
+    return sum(len(c) * len(classes2.get(key, ())) for key, c in g.endpoint_classes.items())
 
 
 def _edge_classes(g: LabeledDigraph, own: dict, full: int) -> dict:
@@ -260,7 +280,7 @@ def max_clique(g: UndirectedGraph | CompatibilityGraph) -> frozenset:
     table.
     """
     nodes = g.nodes
-    order, radj, nadj, bit, need, known = _size_phase(g.adjacency)
+    order, radj, nadj, bit, need, known = _size_phase(g)
     n = len(order)
     pos = [0] * n
     for p, v in enumerate(order):
@@ -294,15 +314,19 @@ def _some_max_clique(g: UndirectedGraph | CompatibilityGraph) -> list:
     witness walk.  For the callers that only need a clique's size, and
     check the clique they get."""
     nodes = g.nodes
-    order, _, _, _, _, clique = _size_phase(g.adjacency)
+    order, _, _, _, _, clique = _size_phase(g)
     return [nodes[order[p]] for p in _bits(clique)]
 
 
 def _size_phase(
-    adj: tuple[int, ...],
+    g: UndirectedGraph | CompatibilityGraph,
 ) -> tuple[list[int], tuple[int, ...], tuple[int, ...], list[int], int, int]:
-    """The size phase of :func:`max_clique` on the neighbour masks ``adj``,
-    as ``(order, radj, nadj, bit, size, clique)``.
+    """The size phase of :func:`max_clique` on the neighbour masks of
+    ``g``, as ``(order, radj, nadj, bit, size, clique)``.  It stops once it
+    holds a clique of ``g.bound`` vertices on a :class:`CompatibilityGraph`
+    (of ``n`` on any other graph): no larger clique exists, and the search
+    replaces its incumbent only by a larger one, so the clique found is the
+    one the whole search would find.
 
     The search runs on the vertices relabelled by non-decreasing degree
     (ties by descending index): the mirror image of the non-increasing
@@ -326,6 +350,7 @@ def _size_phase(
     order: position ``p`` here is position ``n - 1 - p`` there, every
     class, branch and incumbent is that search's mirrored, and so is the
     clique found."""
+    adj = g.adjacency
     n = len(adj)
     degrees = [mask.bit_count() for mask in adj]
     order = sorted(reversed(range(n)), key=degrees.__getitem__)
@@ -336,7 +361,8 @@ def _size_phase(
     bit = [1 << p for p in range(n)]
     full = (1 << n) - 1
     nadj = tuple([full ^ mask ^ b for mask, b in zip(radj, bit)])
-    size, clique = _search(radj, nadj, bit, full, _greedy_clique(radj), n)
+    stop = g.bound if isinstance(g, CompatibilityGraph) else n
+    size, clique = _search(radj, nadj, bit, full, _greedy_clique(radj), stop)
     return order, radj, nadj, bit, size, clique
 
 
@@ -390,9 +416,10 @@ def _search(
 ) -> tuple[int, int]:
     """The largest clique inside ``cand`` when it has more vertices than
     the ``incumbent`` (size, mask), as (size, mask); else the incumbent.
-    Returns as soon as it holds a clique of ``stop`` vertices.  ``nadj``
-    holds the complements of the closed neighbourhoods of ``adj``, and
-    ``bit`` the single bits the coloring ORs into its classes.
+    Returns as soon as it holds a clique of ``stop`` vertices, the
+    incumbent included.  ``nadj`` holds the complements of the closed
+    neighbourhoods of ``adj``, and ``bit`` the single bits the coloring
+    ORs into its classes.
 
     Branch and bound on an explicit stack, so the clique size is not capped
     by the interpreter's recursion limit.  Each frame is ``[clique, size,
@@ -408,6 +435,8 @@ def _search(
     negative and a larger clique has since been found.  ``cand`` drops
     each vertex once its branch is done."""
     best, best_clique = incumbent
+    if best >= stop:
+        return incumbent
     if not cand and best < 0:
         # an empty ``cand`` makes the root a leaf: the empty clique
         best, best_clique = 0, 0

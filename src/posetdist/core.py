@@ -173,12 +173,17 @@ class LabeledDigraph:
         return tuple(zip(map(label, tails), map(label, heads)))
 
     @cached_property
+    def endpoint_classes(self) -> dict[tuple[str, str], tuple[Edge, ...]]:
+        """Edges grouped by ``endpoint_labels``, edge order inside each
+        class, built once per graph object.  The clique route reads its
+        vertex count k, its screening bound and the vertices themselves
+        off the classes of the two graphs."""
+        return _grouped(self.edges, self.endpoint_labels)
+
+    @cached_property
     def label_classes(self) -> dict[str, tuple[NodeId, ...]]:
         """Nodes grouped by label, insertion order inside each class."""
-        classes: dict[str, list[NodeId]] = {}
-        for v in self.nodes:
-            classes.setdefault(self.node_labels[v], []).append(v)
-        return {a: tuple(vs) for a, vs in classes.items()}
+        return _grouped(self.nodes, map(self.node_labels.__getitem__, self.nodes))
 
     @cached_property
     def label_indices(self) -> dict[str, tuple[int, ...]]:
@@ -207,6 +212,15 @@ class LabeledDigraph:
             {mapping[v]: self.node_labels[v] for v in self.nodes},
             [(mapping[u], mapping[v]) for u, v in self.edges],
         )
+
+
+def _grouped(items: Iterable, keys: Iterable) -> dict:
+    """The ``items`` grouped by their ``keys`` (paired in order), as one
+    tuple per key in item order; the keys in order of first appearance."""
+    groups: dict = {}
+    for item, key in zip(items, keys):
+        groups.setdefault(key, []).append(item)
+    return {key: tuple(group) for key, group in groups.items()}
 
 
 def _set_graph(g: LabeledDigraph, nodes, labels, edges, masks) -> None:

@@ -57,6 +57,15 @@ class ExtendedLineDigraph:
         default=None, compare=False, repr=False, kw_only=True
     )
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash, computed once per line digraph.  It agrees with ``==``,
+        which compares the nodes and the labels as a mapping."""
+        return hash((self.nodes, frozenset(self.node_labels.items())))
+
     @cached_property
     def labeled_edges(self) -> tuple[tuple[Edge, Edge, str], ...]:
         # Only edges that share an endpoint are related, so each edge meets

@@ -22,8 +22,10 @@ solutions is the quantity every solver here computes:
 These three are one branch-and-bound search (:func:`_pick_nodes`) that
 keeps its own stack, so no input is too deep for it.  It also carries an
 admissible score bound (a branch is cut when even deciding every remaining
-edge in its favor cannot beat the best score already found).  The bound
-never changes the value or the reported witness; it only skips work.
+edge in its favor cannot beat the best score already found), and alg1
+and alg2 stop once the best score meets the screening bound
+(:func:`_screening_bound`).  Neither changes the value or the reported
+witness; they only skip work.
 
 Node sets are bitmasks over each graph's cached ``adjacency_masks``, and
 a set of nodes of ``g`` is carried through a matching by
@@ -189,6 +191,15 @@ def label_budget(g: LabeledDigraph, g2: LabeledDigraph) -> LabelBudget:
     return LabelBudget(per, sum(per.values()))
 
 
+def _screening_bound(classes: dict, classes2: dict) -> int:
+    """The screening bound of RASCAL (Raymond, Gardiner & Willett,
+    *Comput. J.* 2002) on two groupings of items by key: the sum over the
+    keys of min(|class|, |class'|).  A matching realizes the edges of one
+    ``endpoint_classes`` class on edges of the same class, injectively, so
+    on two graphs' ``endpoint_classes`` it bounds DMCES from above."""
+    return sum(min(len(c), len(classes2.get(key, ()))) for key, c in classes.items())
+
+
 def respects_order_on_labels(
     g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching
 ) -> frozenset[frozenset[str]]:
@@ -349,7 +360,8 @@ def dmces_alg1(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
     """Branch-and-bound search with per-label cardinality pruning; inputs
     must be weakly connected, simple, and oriented."""
     _require(g, g2)
-    value, phi = _pick_nodes(g, g2, order_filter=False, path_budget=False)
+    stop = _screening_bound(g.endpoint_classes, g2.endpoint_classes)
+    value, phi = _pick_nodes(g, g2, order_filter=False, path_budget=False, stop=stop)
     return _outcome(g, g2, value, phi, Solver.ALG1)
 
 
@@ -357,7 +369,8 @@ def dmces_alg2(g: LabeledDigraph, g2: LabeledDigraph) -> DmcesOutcome:
     """Alg 1 plus order-respecting pruning; inputs must be transitive
     closures (weakly connected, simple, oriented)."""
     _require(g, g2, closure=True)
-    value, phi = _pick_nodes(g, g2, order_filter=True, path_budget=False)
+    stop = _screening_bound(g.endpoint_classes, g2.endpoint_classes)
+    value, phi = _pick_nodes(g, g2, order_filter=True, path_budget=False, stop=stop)
     return _outcome(g, g2, value, phi, Solver.ALG2)
 
 
@@ -379,6 +392,7 @@ def _pick_nodes(
     *,
     order_filter: bool,
     path_budget: bool,
+    stop: int | None = None,
 ) -> tuple[int, NodeMatching]:
     """The shared search behind the three pruned solvers: the best score
     and a matching that realizes it.
@@ -391,7 +405,10 @@ def _pick_nodes(
     or dead (an endpoint skipped, or the image pair is not an edge).
     ``bound = n_edges - dead`` is therefore an upper bound on any
     completion of the current branch, and branches that cannot strictly
-    beat the incumbent are cut.
+    beat the incumbent are cut.  The search ends as soon as the incumbent
+    scores ``stop``, an upper bound on the optimum when given: the
+    incumbent changes only for a strictly better score, so the witness is
+    the one the whole search would return.
 
     The search runs depth-first on an explicit stack, so its depth is not
     capped by the recursion limit.  It reads what both graphs cache: their
@@ -472,6 +489,8 @@ def _pick_nodes(
                     (g.nodes[u], g2.nodes[img_bit[u].bit_length() - 1])
                     for u in _bits(mapped)
                 )
+                if best == stop:
+                    break
         else:
             _, in_m, out_m, same_m, cand, cls2, _, spare, wide = steps[i]
             x = in_m & mapped

@@ -147,6 +147,23 @@ class TestCompatibilityConstruction:
         comp = compatibility_graph(*pair)
         assert max_clique(comp) == max_clique(comp.graph)
 
+    @given(same_type_pairs)
+    def test_bound_is_the_screening_bound_of_the_vertex_classes(self, pair):
+        # per (label, self-loop label): the smaller of the two class sizes
+        first, second = (
+            [(h.node_labels[n], h.edge_label_map.get((n, n), "no loop")) for n in h.nodes]
+            for h in pair
+        )
+        comp = compatibility_graph(*pair)
+        assert comp.bound == sum(min(first.count(k), second.count(k)) for k in set(first))
+        assert len(max_clique(comp)) <= comp.bound <= len(comp.pair_index)
+
+    def test_bound_takes_no_part_in_equality_or_repr(self):
+        comp = compatibility_graph(*self_loop_pair())
+        plain = clique_module.CompatibilityGraph(comp.pair_index, comp.adjacency)
+        assert (comp.bound, plain.bound) == (1, 2)
+        assert comp == plain and repr(comp) == repr(plain)
+
 
 class TestMaxClique:
     def test_empty_graph(self):
@@ -355,6 +372,12 @@ class TestSearch:
         assert _search(g, 0b11111, (-1, 0), 2) == (2, 0b00101)
         assert _search(g, 0b11111, (-1, 0), 3) == (3, 0b10110)
 
+    def test_an_incumbent_of_stop_vertices_ends_the_search_at_once(self, monkeypatch):
+        # no coloring runs, so not even the root is branched on
+        monkeypatch.setattr(clique_module, "_color_classes", None)
+        g = _mirrored(FIVE_CYCLE)
+        assert _search(g, 0b11111, (2, 0b00011), 2) == (2, 0b00011)
+
     @pytest.mark.parametrize(
         "g", [UndirectedGraph((), ()), FIVE_CYCLE], ids=["no-vertex", "five-cycle"]
     )
@@ -376,7 +399,7 @@ class TestSearch:
 # kernel's layout or walk order must leave every result and every search
 # node as it was.
 CLIQUE_ROUTE_DIGEST = "5b5bea8941c5d9038e57a1fc91ed8f161718a5f784b16024655e1b6f08d0ff25"
-CLIQUE_ROUTE_COLORINGS = 57977
+CLIQUE_ROUTE_COLORINGS = 57891
 
 
 def test_clique_route_outcomes_and_search_nodes_are_pinned(monkeypatch):
@@ -570,6 +593,16 @@ class TestEdgePairGraph:
         via_eld = compatibility_graph(extended_line_digraph(g), extended_line_digraph(g2))
         assert direct.pair_index == via_eld.pair_index
         assert direct.adjacency == via_eld.adjacency
+
+    @given(source_pairs)
+    def test_both_builds_share_the_screening_bound(self, pair):
+        g, g2 = pair
+        direct = clique_module._edge_pair_graph(g, g2)
+        via_eld = compatibility_graph(extended_line_digraph(g), extended_line_digraph(g2))
+        classes, classes2 = g.endpoint_classes, g2.endpoint_classes
+        screening = sum(min(len(c), len(classes2.get(key, ()))) for key, c in classes.items())
+        assert direct.bound == via_eld.bound == screening
+        assert clique_module._compat_vertices(g, g2) == len(direct.pair_index)
 
     def test_the_route_builds_no_line_digraph(self, monkeypatch):
         g, g2 = seeded_pair("wso", 8, 2, 0.45, 11)

@@ -159,6 +159,16 @@ class TestProperties:
         assert labels == tuple((g.node_labels[u], g.node_labels[v]) for u, v in g.edges)
         assert labels == tuple(extended_line_digraph(g).node_labels.values())
 
+    @given(st.one_of(*(seeded_graphs(kind) for kind in KINDS)))
+    def test_endpoint_classes_group_the_edges_by_endpoint_labels(self, g):
+        # every edge once, in edge order inside its class
+        classes = g.endpoint_classes
+        assert sorted(e for edges in classes.values() for e in edges) == sorted(g.edges)
+        for key, edges in classes.items():
+            assert edges == tuple(
+                e for e, k in zip(g.edges, g.endpoint_labels) if k == key
+            )
+
     def test_a_poset_is_built_from_its_digraph(self):
         p = build_poset_digraph(
             [("a", "x"), ("b", "x"), ("c", "y")], [("a", "b"), ("b", "c")]
@@ -197,3 +207,18 @@ class TestArcsOnFirstRead:
         assert eld == eld2
         # the source takes no part in equality
         assert eld == ExtendedLineDigraph(eld.nodes, dict(eld.node_labels))
+
+    def test_equal_line_digraphs_hash_equal(self):
+        g = diamond_graph()
+        copy = LabeledDigraph(tuple(g.nodes), dict(g.node_labels), tuple(g.edges))
+        eld, eld2 = extended_line_digraph(g), extended_line_digraph(copy)
+        reordered = ExtendedLineDigraph(eld.nodes, dict(reversed(eld.node_labels.items())))
+        assert eld == eld2 == reordered
+        assert hash(eld) == hash(eld2) == hash(reordered)
+        assert "_hash" in vars(eld)  # computed once per line digraph
+        assert len({eld, eld2, reordered}) == 1
+        # a line digraph with other labels is another key
+        relabeled = extended_line_digraph(
+            LabeledDigraph(g.nodes, dict.fromkeys(g.nodes, "b"), g.edges)
+        )
+        assert len({eld, relabeled}) == 2

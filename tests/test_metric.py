@@ -1,5 +1,7 @@
 """Edge- and node-overlap distances and the auto solver policy."""
 
+import contextlib
+import signal
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 import posetdist.clique as clique_module
 import posetdist.core as core_module
 import posetdist.metric as metric_module
+import posetdist.solvers as solvers_module
 from posetdist import (
     DegenerateInput,
     DistanceResult,
@@ -429,6 +432,104 @@ class TestPosetDistance:
         r = poset_distance(p, p)
         assert r.solver is Solver.CLIQUE
         assert r.distance == 0
+
+
+@contextlib.contextmanager
+def capped(seconds: float):
+    """Fail the block with an AssertionError, instead of hanging, once it
+    runs past ``seconds`` of wall time."""
+
+    def stalled(signum, frame):
+        raise AssertionError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def antichain_poset(shape: str, width: int) -> PosetDigraph:
+    """One label on an antichain ``m00, m01, ...`` of ``width`` elements,
+    with a bottom ``b`` below it (V), a top ``t`` above it (Lambda), or both
+    (diamond).  The ids run with the order, bottom first."""
+    middle = [f"m{i:02d}" for i in range(width)]
+    elements = [(m, "a") for m in middle]
+    relations = []
+    if shape in ("V", "diamond"):
+        elements.insert(0, ("b", "a"))
+        relations += [("b", m) for m in middle]
+    if shape in ("Lambda", "diamond"):
+        elements.append(("t", "a"))
+        relations += [(m, "t") for m in middle]
+    return build_poset_digraph(elements, relations)
+
+
+def broom(leaves: int) -> LabeledDigraph:
+    """One label on a hub ``a`` over ``leaves`` leaves ``l00, l01, ...``,
+    plus the open path a -> b -> c, so no transitive closure."""
+    nodes = ["a", "b", "c", *(f"l{i:02d}" for i in range(leaves))]
+    edges = [("a", "b"), ("b", "c"), *(("a", v) for v in nodes[3:])]
+    return LabeledDigraph(nodes, dict.fromkeys(nodes, "a"), edges)
+
+
+def screening_bound(g: LabeledDigraph, g2: LabeledDigraph) -> int:
+    return solvers_module._screening_bound(g.endpoint_classes, g2.endpoint_classes)
+
+
+# One label, so every pair of edges is a vertex of the compatibility graph
+# and every search meets the optimum, the screening bound, early.  Without
+# the stop at that bound, each of these runs past 3 s on every route,
+# proving that no better matching exists.
+STALL_PAIRS = {
+    f"{name}-{n}-{m}": (make(n), make(m))
+    for name, make in (
+        ("V", lambda n: antichain_poset("V", n)),
+        ("Lambda", lambda n: antichain_poset("Lambda", n)),
+        ("diamond", lambda n: antichain_poset("diamond", n)),
+        ("broom", broom),
+    )
+    for n, m in ((12, 10), (30, 25))
+}
+
+
+class TestScreeningBound:
+    @pytest.mark.parametrize("name", sorted(STALL_PAIRS))
+    def test_pairs_at_the_bound_finish_on_every_route(self, name):
+        g, g2 = STALL_PAIRS[name]
+        bound = screening_bound(g, g2)
+        closures = isinstance(g, PosetDigraph)
+        calls = [d_e, *(lambda a, b, s=s: d_e(a, b, s) for s in ("alg1", "clique"))]
+        if closures:
+            calls += [poset_distance, lambda a, b: d_e(a, b, "alg2")]
+        for call in calls:
+            with capped(1):
+                result = call(g, g2)
+            assert result.dmces_value == bound
+            assert score(g, g2, result.witness) == bound
+        with capped(1):
+            distance = d_n(extended_line_digraph(g), extended_line_digraph(g2))
+        assert distance == 1 - Fraction(bound, max(len(g.edges), len(g2.edges)))
+
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(("wso", "closure", "path-closure")).flatmap(
+            lambda kind: st.tuples(
+                seeded_graphs(kind, 3, 7), seeded_graphs(kind, 3, 7)
+            )
+        )
+    )
+    def test_bound_is_at_least_every_solvers_value(self, pair):
+        g, g2 = pair
+        closures, chains = metric_module.closure_flags(g, g2)
+        solvers = [Solver.BRUTE, Solver.ALG1, Solver.CLIQUE]
+        solvers += [Solver.ALG2] * closures + [Solver.ALG3] * chains
+        bound = screening_bound(g, g2)
+        assert bound <= min(len(g.edges), len(g2.edges))
+        for solver in solvers:
+            assert metric_module.solve(g, g2, solver).value <= bound
 
 
 def seeded_posets():
