@@ -18,10 +18,12 @@ index lookup there, and a repeated edge shows as fewer mask bits than
 edges.  Graphs derived from masks (closure, reduction, the poset build)
 are built straight from their out-masks and skip that pass.  A graph
 caches what these routines derive from it: the skip skeleton, the
-structural report and the topological order.  The skip skeleton keeps,
-per node, only the out-neighbours that the closure test had to visit; on
-a transitively closed DAG every edge is a path in it, so the chain test
-and the topological order work on it instead of on every edge.
+structural report and the topological order; and the parts of the order
+searches' tables that depend on it alone (:func:`_search_rows`,
+:func:`_candidates`).  The skip skeleton keeps, per node, only the
+out-neighbours that the closure test had to visit; on a transitively
+closed DAG every edge is a path in it, so the chain test and the
+topological order work on it instead of on every edge.
 """
 
 from __future__ import annotations
@@ -186,15 +188,33 @@ class LabeledDigraph:
         return _grouped(self.nodes, map(self.node_labels.__getitem__, self.nodes))
 
     @cached_property
-    def label_indices(self) -> dict[str, tuple[int, ...]]:
-        """Per label, the positions in ``nodes`` of its class, in id order:
-        the candidate images of the order searches, built once per graph
-        object."""
-        index = self.adjacency_masks[0]
-        return {
-            a: tuple(map(index.__getitem__, sorted(vs)))
-            for a, vs in self.label_classes.items()
-        }
+    def label_sizes(self) -> dict[str, int]:
+        """Per label, the size of its class, built once per graph object."""
+        return {a: len(vs) for a, vs in self.label_classes.items()}
+
+    @cached_property
+    def order_search_rows(self) -> tuple[tuple, ...]:
+        """The :func:`_search_rows` of the order-filtered searches (alg2,
+        alg3), in ``topological_order``; built once per graph object."""
+        return _search_rows(self, order_filter=True)
+
+    @cached_property
+    def node_search_rows(self) -> tuple[tuple, ...]:
+        """The :func:`_search_rows` of alg1, in ``nodes`` order; built once
+        per graph object."""
+        return _search_rows(self, order_filter=False)
+
+    @cached_property
+    def order_candidates(self) -> dict[str, tuple[int, ...]]:
+        """The :func:`_candidates` of the order-filtered searches (alg2,
+        alg3), in ``topological_order``; built once per graph object."""
+        return _candidates(self, self.topological_order)
+
+    @cached_property
+    def node_candidates(self) -> dict[str, tuple[int, ...]]:
+        """The :func:`_candidates` of alg1, in id order; built once per
+        graph object."""
+        return _candidates(self, sorted(self.nodes))
 
     @cached_property
     def label_masks(self) -> dict[str, int]:
@@ -221,6 +241,44 @@ def _grouped(items: Iterable, keys: Iterable) -> dict:
     for item, key in zip(items, keys):
         groups.setdefault(key, []).append(item)
     return {key: tuple(group) for key, group in groups.items()}
+
+
+def _search_rows(g: LabeledDigraph, *, order_filter: bool) -> tuple[tuple, ...]:
+    """The rows of the order searches (``solvers._pick_nodes``) on ``g`` as
+    the first graph of a pair: one per node, in processing order
+    (``topological_order`` under the order filter, ``nodes`` otherwise).
+    A row holds the node's position in ``nodes``, its in-mask, its
+    out-mask (0 under the order filter, where every out-neighbour comes
+    later), its same-label mask (order filter only, else 0), its label,
+    the number of nodes of its label processed after it, and whether
+    either neighbour mask is :func:`_dense`."""
+    index, out, inn = g.adjacency_masks
+    labels = g.node_labels
+    same = g.label_masks
+    rows = []
+    later = dict.fromkeys(same, 0)
+    for v in reversed(g.topological_order if order_filter else g.nodes):
+        a = labels[v]
+        m = index[v]
+        in_m = inn[m]
+        out_m = 0 if order_filter else out[m]
+        rows.append((
+            m, in_m, out_m, same[a] if order_filter else 0, a, later[a],
+            _dense(in_m) or _dense(out_m),
+        ))
+        later[a] += 1
+    rows.reverse()
+    return tuple(rows)
+
+
+def _candidates(g: LabeledDigraph, order: Sequence[NodeId]) -> dict[str, tuple[int, ...]]:
+    """The branches of the order searches on ``g`` as the second graph of
+    a pair: per label, the positions in ``nodes`` of its class in the
+    given ``order`` of all nodes, the candidate images in the order they
+    are tried, then ``-1`` for the skip."""
+    index, labels = g.adjacency_masks[0], g.node_labels
+    classes = _grouped(map(index.__getitem__, order), map(labels.__getitem__, order))
+    return {a: (*js, -1) for a, js in classes.items()}
 
 
 def _set_graph(g: LabeledDigraph, nodes, labels, edges, masks) -> None:

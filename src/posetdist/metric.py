@@ -69,7 +69,7 @@ class DistanceResult:
             raise ValueError("normalizer must be positive")
         if not 0 <= self.dmces_value <= self.normalizer:
             raise ValueError("value outside [0, normalizer]")
-        if self.distance != 1 - Fraction(self.dmces_value, self.normalizer):
+        if self.distance != Fraction(self.normalizer - self.dmces_value, self.normalizer):
             raise ValueError("distance does not match value/normalizer")
 
 
@@ -127,7 +127,7 @@ def d_e(
     return DistanceResult(
         dmces_value=outcome.value,
         normalizer=normalizer,
-        distance=1 - Fraction(outcome.value, normalizer),
+        distance=Fraction(normalizer - outcome.value, normalizer),
         witness=outcome.witness,
         solver=outcome.solver,
     )
@@ -148,7 +148,7 @@ def d_n(g, g2) -> Fraction:
     clique each finds."""
     size = mcis_size(g, g2)
     n = max(len(g.nodes), len(g2.nodes))
-    return 1 - Fraction(size, n) if n else Fraction(0)
+    return Fraction(n - size, n) if n else Fraction(0)
 
 
 def poset_distance(p: PosetDigraph, p2: PosetDigraph) -> DistanceResult:

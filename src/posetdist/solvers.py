@@ -43,7 +43,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
-from .core import LabeledDigraph, _bit_table, _bits, _dense, _image, topological_sort
+from .core import LabeledDigraph, _bit_table, _bits, _image
 from .errors import (
     DegenerateInput,
     InvalidMatching,
@@ -182,8 +182,7 @@ def matched_edges(
 
 def label_budget(g: LabeledDigraph, g2: LabeledDigraph) -> LabelBudget:
     """min(|class|, |class'|) per label over the union of both alphabets."""
-    sizes = {a: len(vs) for a, vs in g.label_classes.items()}
-    sizes2 = {a: len(vs) for a, vs in g2.label_classes.items()}
+    sizes, sizes2 = g.label_sizes, g2.label_sizes
     per = {
         a: min(sizes.get(a, 0), sizes2.get(a, 0))
         for a in sorted(set(sizes) | set(sizes2))
@@ -398,28 +397,31 @@ def _pick_nodes(
     and a matching that realizes it.
 
     Nodes of ``g`` are processed in a fixed order (topological when the
-    order filter is on); each is mapped to a candidate image (ascending id)
+    order filter is on); each is mapped to a candidate image (in ``g2``'s
+    topological order when the order filter is on, ascending id otherwise)
     or skipped, and skipping is allowed only while the per-label target
-    stays reachable.  Each edge of ``g`` is decided exactly once, at the
-    moment its later-processed endpoint is handled: realized (score),
-    or dead (an endpoint skipped, or the image pair is not an edge).
-    ``bound = n_edges - dead`` is therefore an upper bound on any
-    completion of the current branch, and branches that cannot strictly
-    beat the incumbent are cut.  The search ends as soon as the incumbent
+    min(|class|, |class'|) stays reachable.  Each edge of ``g`` is decided
+    exactly once, at the moment its later-processed endpoint is handled:
+    realized (score), or dead (an endpoint skipped, or the image pair is
+    not an edge).  ``bound = n_edges - dead`` is therefore an upper bound
+    on any completion of the current branch, and branches that cannot
+    strictly beat the incumbent are cut.  The search ends as soon as the incumbent
     scores ``stop``, an upper bound on the optimum when given: the
     incumbent changes only for a strictly better score, so the witness is
     the one the whole search would return.
 
     The search runs depth-first on an explicit stack, so its depth is not
     capped by the recursion limit.  It reads what both graphs cache: their
-    ``adjacency_masks``, ``g2``'s candidate lists per label
-    (``label_indices``) and both graphs' ``label_masks``.  Node sets are
-    bitmasks held by value in the frames: ``used`` and ``dead_images``
-    (alg3's permanently unusable images) of ``g2``, ``mapped`` and
-    ``skipped`` of ``g``.  So backtracking undoes nothing.  Mapping ``u``
-    to ``j`` writes ``img_bit[u] = 1 << j`` and ``img_in2[u] = in2[j]``,
-    read only while ``u`` is in ``mapped``.  A frame serves the node at
-    position ``i``:
+    ``adjacency_masks`` and ``label_sizes``, ``g``'s rows
+    (:func:`core._search_rows`), and ``g2``'s candidates per label
+    (:func:`core._candidates`) and ``label_masks``; per pair it only joins
+    them.
+    Node sets are bitmasks held by value in the frames: ``used`` and
+    ``dead_images`` (alg3's permanently unusable images) of ``g2``,
+    ``mapped`` and ``skipped`` of ``g``.  So backtracking undoes nothing.
+    Mapping ``u`` to ``j`` writes ``img_bit[u] = 1 << j`` and
+    ``img_in2[u] = in2[j]``, read only while ``u`` is in ``mapped``.  A
+    frame serves the node at position ``i``:
 
     - ``cursor`` runs over its candidates, then ``-1`` for the skip;
     - ``bound`` already counts every edge to a processed node as dead;
@@ -436,39 +438,27 @@ def _pick_nodes(
       neighbours, walked the same way;
     - ``free`` and ``slack`` serve alg3's image-supply test.
     """
-    index, out, inn = g.adjacency_masks
     _, out2, in2 = g2.adjacency_masks
-    labels = g.node_labels
-    target = label_budget(g, g2).per_label
+    if order_filter:
+        rows, branches = g.order_search_rows, g2.order_candidates
+    else:
+        rows, branches = g.node_search_rows, g2.node_candidates
+    # per label of g: its branches, its candidates' class, its target
+    # min(|class|, |class'|) and the class size beyond target
+    sizes2 = g2.label_sizes
     class2 = g2.label_masks
-    same = g.label_masks
-    branches = {a: (*js, -1) for a, js in g2.label_indices.items()}
-    # per position: the node, its in-neighbours, its out-neighbours (none
-    # under the order filter: they all come later), its same-label nodes
-    # (order filter only), its branches, its candidates' class, the matches
-    # of that label a skip needs, the class size beyond target, and whether
-    # either neighbour mask is dense enough for _image
-    steps = []
-    later = dict.fromkeys(same, 0)
-    for v in reversed(topological_sort(g) if order_filter else g.nodes):
-        a = labels[v]
-        m = index[v]
-        in_m = inn[m]
-        out_m = 0 if order_filter else out[m]
-        cand = branches.get(a, _SKIP)
-        steps.append((
-            m,
-            in_m,
-            out_m,
-            same[a] if order_filter else 0,
-            cand,
-            class2.get(a, 0),
-            target[a] - later[a],
-            len(cand) - 1 - target[a],
-            _dense(in_m) or _dense(out_m),
-        ))
-        later[a] += 1
-    steps.reverse()
+    per_label = {}
+    for a, size in g.label_sizes.items():
+        size2 = sizes2.get(a, 0)
+        target = min(size, size2)
+        per_label[a] = (branches.get(a, _SKIP), class2.get(a, 0), target, size2 - target)
+    # per position: a row of g (see core._search_rows) with its
+    # label's entry, where a skip needs the target less the later nodes
+    steps = [
+        (m, in_m, out_m, same_m, cand, cls2, target - later, spare, wide)
+        for m, in_m, out_m, same_m, a, later, wide in rows
+        for cand, cls2, target, spare in (per_label[a],)
+    ]
     n = len(steps)
 
     # per node of g, written when it is mapped: its image as a bit, and

@@ -277,12 +277,17 @@ class TestLabeledDigraph:
         assert out[index["u"]] == inn[index["w"]] == 0b1010
         assert g.label_classes == {"a": ("u", "v", "w", "x")}
 
-    def test_label_indices_and_masks(self):
-        # insertion order v, b, a, c; the index lists run in id order
+    def test_label_candidates_sizes_and_masks(self):
+        # insertion order v, b, a, c; alg1's candidates run in id order, the
+        # order searches' in topological order (c before a), each then -1
         g = LabeledDigraph(
-            ("v", "b", "a", "c"), {"v": "x", "b": "y", "a": "x", "c": "x"}, (("v", "b"),)
+            ("v", "b", "a", "c"),
+            {"v": "x", "b": "y", "a": "x", "c": "x"},
+            (("v", "b"), ("c", "a")),
         )
-        assert g.label_indices == {"x": (2, 3, 0), "y": (1,)}
+        assert g.node_candidates == {"x": (2, 3, 0, -1), "y": (1, -1)}
+        assert g.order_candidates == {"x": (3, 2, 0, -1), "y": (1, -1)}
+        assert g.label_sizes == {"x": 3, "y": 1}
         assert g.label_masks == {"x": 0b1101, "y": 0b0010}
 
     def test_equal_graphs_hash_equal(self):

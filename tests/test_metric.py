@@ -451,19 +451,24 @@ def capped(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def antichain_poset(shape: str, width: int) -> PosetDigraph:
-    """One label on an antichain ``m00, m01, ...`` of ``width`` elements,
-    with a bottom ``b`` below it (V), a top ``t`` above it (Lambda), or both
-    (diamond).  The ids run with the order, bottom first."""
-    middle = [f"m{i:02d}" for i in range(width)]
+def antichain_poset(shape: str, width: int, against: bool = False) -> PosetDigraph:
+    """One label on an antichain of ``width`` elements, with a bottom below
+    it (V), a top above it (Lambda), or both (diamond).  The ids run with
+    the order: the bottom ``b`` listed first, the antichain ``m00, m01,
+    ...``, the top ``t``.  With ``against`` they run against it: the
+    antichain ``x00, x01, ...`` is listed first, the bottom ``bot`` after
+    it, and the top is named ``top``, an id that sorts before the
+    antichain."""
+    bottom, top, prefix = ("bot", "top", "x") if against else ("b", "t", "m")
+    middle = [f"{prefix}{i:02d}" for i in range(width)]
     elements = [(m, "a") for m in middle]
     relations = []
     if shape in ("V", "diamond"):
-        elements.insert(0, ("b", "a"))
-        relations += [("b", m) for m in middle]
+        elements.insert(len(elements) if against else 0, (bottom, "a"))
+        relations += [(bottom, m) for m in middle]
     if shape in ("Lambda", "diamond"):
-        elements.append(("t", "a"))
-        relations += [(m, "t") for m in middle]
+        elements.append((top, "a"))
+        relations += [(m, top) for m in middle]
     return build_poset_digraph(elements, relations)
 
 
@@ -494,6 +499,19 @@ STALL_PAIRS = {
     for n, m in ((12, 10), (30, 25))
 }
 
+# The poset pairs above with the ids against the order.  The order
+# searches take candidate images in topological order, so alg2 meets the
+# bound as early as on the pairs above; alg1 takes them in id order and
+# still runs for seconds on these pairs.
+AGAINST_ORDER_PAIRS = {
+    f"{shape}-{n}-{m}": (
+        antichain_poset(shape, n, against=True),
+        antichain_poset(shape, m, against=True),
+    )
+    for shape in ("V", "Lambda", "diamond")
+    for n, m in ((12, 10), (30, 25))
+}
+
 
 class TestScreeningBound:
     @pytest.mark.parametrize("name", sorted(STALL_PAIRS))
@@ -512,6 +530,17 @@ class TestScreeningBound:
         with capped(1):
             distance = d_n(extended_line_digraph(g), extended_line_digraph(g2))
         assert distance == 1 - Fraction(bound, max(len(g.edges), len(g2.edges)))
+
+    @pytest.mark.parametrize("name", sorted(AGAINST_ORDER_PAIRS))
+    def test_alg2_meets_the_bound_with_ids_against_the_order(self, name):
+        p, q = AGAINST_ORDER_PAIRS[name]
+        bound = screening_bound(p, q)
+        with capped(1):
+            outcome = dmces_alg2(p, q)
+        with capped(1):
+            result = poset_distance(p, q)
+        assert outcome.value == result.dmces_value == bound
+        assert score(p, q, outcome.witness) == score(p, q, result.witness) == bound
 
     @settings(max_examples=60)
     @given(

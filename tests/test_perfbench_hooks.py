@@ -11,9 +11,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import posetdist.solvers as solvers
-from posetdist import generate_instance
-
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -31,19 +28,3 @@ def test_every_traced_function_exists(monkeypatch):
         if not callable(getattr(importlib.import_module(module), function, None))
     ]
     assert missing == []
-
-
-def test_alg2_and_alg3_call_the_traced_order_once_per_solve(monkeypatch):
-    """The tracer's ``core.topological_sort`` span measures the order step
-    of alg2 and alg3 only while they call the module-level name once per
-    solve, cached order or not."""
-    calls = []
-    order = solvers.topological_sort
-    monkeypatch.setattr(
-        solvers, "topological_sort", lambda g: calls.append(g) or order(g)
-    )
-    g, g2 = (generate_instance("path-closure", 12, 3, 0.3, seed) for seed in (5, 6))
-    for solve in (solvers.dmces_alg2, solvers.dmces_alg3, solvers.dmces_alg3):
-        calls.clear()
-        solve(g, g2)
-        assert calls == [g]

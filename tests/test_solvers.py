@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import posetdist.core as core_module
 import posetdist.solvers as solvers_module
 from posetdist import (
     InvalidMatching,
@@ -20,11 +21,13 @@ from posetdist import (
     Solver,
     build_poset_digraph,
     cli_main,
+    d_e,
     dmces_alg1,
     dmces_alg2,
     dmces_alg3,
     dmces_bruteforce,
     dmces_via_clique,
+    generate_instance,
     label_budget,
     matched_edges,
     respects_order_on_labels,
@@ -223,6 +226,18 @@ class TestLabelBudget:
         got = label_budget(g, h)
         assert got.per_label == {"q": 0, "z": 0}
         assert got.total == 0
+
+    def test_budgets_on_the_seeded_search_pairs_are_pinned(self):
+        digest = hashlib.sha256()
+        for kind, _, sizes in SEARCH_DIGESTS:
+            for cell in itertools.product(sizes, (2, 3), (0.3, 0.5), (0, 2)):
+                digest.update(repr(label_budget(*seeded_pair(kind, *cell))).encode())
+        assert digest.hexdigest() == LABEL_BUDGET_DIGEST
+
+
+# SHA-256 over repr of label_budget on every pair of SEARCH_DIGESTS, in its
+# order, as counted from the label classes of both graphs
+LABEL_BUDGET_DIGEST = "18ac3e0496906d3d426663e5bf3df32c1d3c0edd378e1cc54fa27aba6e7b8c2a"
 
 
 class TestBruteforce:
@@ -654,7 +669,7 @@ SEARCH_DIGESTS = {
     ("closure", "alg1", (6, 7, 8, 9, 10)):
         "2b5ef988d102bdf6511b168fcc649a25154e39d62218c933198cdac46df301ae",
     ("closure", "alg2", (6, 7, 8, 9, 10)):
-        "a3f21f706ceae3a3bc4d94f1d3a60fa852b1fb11e0ce9b643ca5eb28b12bad59",
+        "e6a9bbe971267369ab08bda61ba68362d1f88da603a9d520913cbd58006b433f",
     ("path-closure", "alg1", (8, 10, 12)):
         "ded2430642600c878befa491dc8aca01e7f99cb674312af64702cb8f5c1cc2b0",
     ("path-closure", "alg2", (8, 10, 12, 14, 16)):
@@ -671,6 +686,41 @@ def test_search_outcomes_are_pinned(kind, solver, sizes):
     for nodes, labels, density, seed in itertools.product(sizes, (2, 3), (0.3, 0.5), (0, 2)):
         digest.update(repr(solve(*seeded_pair(kind, nodes, labels, density, seed))).encode())
     assert digest.hexdigest() == SEARCH_DIGESTS[kind, solver, sizes]
+
+
+@pytest.mark.parametrize(
+    "solver, tables",
+    [
+        ("alg1", ("node_search_rows", "node_candidates")),
+        ("alg2", ("order_search_rows", "order_candidates")),
+        ("alg3", ("order_search_rows", "order_candidates")),
+    ],
+    ids=["alg1", "alg2", "alg3"],
+)
+def test_a_graph_builds_its_search_tables_once(solver, tables, monkeypatch):
+    """However many partners a graph meets, and on either side of a pair,
+    it builds the rows and the candidates of its search once; the search
+    takes the label targets off the cached class sizes, not from
+    label_budget."""
+    built = []
+    for name in ("_search_rows", "_candidates"):
+        build = getattr(core_module, name)
+        monkeypatch.setattr(
+            core_module,
+            name,
+            lambda g, *args, build=build, **kwargs: built.append(id(g)) or build(g, *args, **kwargs),
+        )
+    monkeypatch.setattr(solvers_module, "label_budget", None)
+    g, *partners = (
+        generate_instance("path-closure", 8, 2, 0.45, seed) for seed in range(4300, 4306)
+    )
+    for partner in partners:
+        assert d_e(g, partner, solver).solver == solver
+        d_e(partner, g, solver)
+    assert sorted(built) == sorted(2 * [id(h) for h in (g, *partners)])
+    for h in (g, *partners):
+        assert {"node_search_rows", "node_candidates", "order_search_rows",
+                "order_candidates"} & vars(h).keys() == set(tables)
 
 
 class TestWitnessCheck:
