@@ -18,12 +18,13 @@ index lookup there, and a repeated edge shows as fewer mask bits than
 edges.  Graphs derived from masks (closure, reduction, the poset build)
 are built straight from their out-masks and skip that pass.  A graph
 caches what these routines derive from it: the skip skeleton, the
-structural report and the topological order; and the parts of the order
-searches' tables that depend on it alone (:func:`_search_rows`,
-:func:`_candidates`).  The skip skeleton keeps, per node, only the
+structural report and the topological order; and the two tables of the
+order searches that depend on it alone (:func:`_search_rows`,
+:func:`_candidates`), both in its one search order
+(:func:`_search_order`).  The skip skeleton keeps, per node, only the
 out-neighbours that the closure test had to visit; on a transitively
-closed DAG every edge is a path in it, so the chain test and the
-topological order work on it instead of on every edge.
+closed DAG every edge is a path in it, so the chain test works on it
+instead of on every edge.
 """
 
 from __future__ import annotations
@@ -193,28 +194,16 @@ class LabeledDigraph:
         return {a: len(vs) for a, vs in self.label_classes.items()}
 
     @cached_property
-    def order_search_rows(self) -> tuple[tuple, ...]:
-        """The :func:`_search_rows` of the order-filtered searches (alg2,
-        alg3), in ``topological_order``; built once per graph object."""
-        return _search_rows(self, order_filter=True)
+    def search_rows(self) -> tuple[tuple, ...]:
+        """The :func:`_search_rows` of the order searches, read when the
+        graph is the first of a pair; built once per graph object."""
+        return _search_rows(self)
 
     @cached_property
-    def node_search_rows(self) -> tuple[tuple, ...]:
-        """The :func:`_search_rows` of alg1, in ``nodes`` order; built once
-        per graph object."""
-        return _search_rows(self, order_filter=False)
-
-    @cached_property
-    def order_candidates(self) -> dict[str, tuple[int, ...]]:
-        """The :func:`_candidates` of the order-filtered searches (alg2,
-        alg3), in ``topological_order``; built once per graph object."""
-        return _candidates(self, self.topological_order)
-
-    @cached_property
-    def node_candidates(self) -> dict[str, tuple[int, ...]]:
-        """The :func:`_candidates` of alg1, in id order; built once per
-        graph object."""
-        return _candidates(self, sorted(self.nodes))
+    def candidates(self) -> dict[str, tuple[int, ...]]:
+        """The :func:`_candidates` of the order searches, read when the
+        graph is the second of a pair; built once per graph object."""
+        return _candidates(self)
 
     @cached_property
     def label_masks(self) -> dict[str, int]:
@@ -243,42 +232,47 @@ def _grouped(items: Iterable, keys: Iterable) -> dict:
     return {key: tuple(group) for key, group in groups.items()}
 
 
-def _search_rows(g: LabeledDigraph, *, order_filter: bool) -> tuple[tuple, ...]:
+def _search_order(g: LabeledDigraph) -> list[int]:
+    """The search order of the order searches on ``g``: the positions in
+    ``nodes``, stably sorted by in-degree minus out-degree.
+
+    On a transitively closed DAG an edge ``u -> v`` gives ``v`` every
+    in-neighbour of ``u`` plus ``u``, and ``u`` every out-neighbour of
+    ``v`` plus ``v``, so the key rises by at least 2 along every edge and
+    the order is topological."""
+    _, out, inn = g.adjacency_masks
+    key = list(map(int.__sub__, map(int.bit_count, inn), map(int.bit_count, out)))
+    return sorted(range(len(key)), key=key.__getitem__)
+
+
+def _search_rows(g: LabeledDigraph) -> tuple[tuple, ...]:
     """The rows of the order searches (``solvers._pick_nodes``) on ``g`` as
-    the first graph of a pair: one per node, in processing order
-    (``topological_order`` under the order filter, ``nodes`` otherwise).
+    the first graph of a pair: one per node, in :func:`_search_order`.
     A row holds the node's position in ``nodes``, its in-mask, its
-    out-mask (0 under the order filter, where every out-neighbour comes
-    later), its same-label mask (order filter only, else 0), its label,
-    the number of nodes of its label processed after it, and whether
-    either neighbour mask is :func:`_dense`."""
-    index, out, inn = g.adjacency_masks
-    labels = g.node_labels
+    out-mask, its same-label mask, its label, the number of nodes of its
+    label processed after it, and whether its in-mask is :func:`_dense`."""
+    _, out, inn = g.adjacency_masks
+    label = list(map(g.node_labels.__getitem__, g.nodes))
     same = g.label_masks
     rows = []
     later = dict.fromkeys(same, 0)
-    for v in reversed(g.topological_order if order_filter else g.nodes):
-        a = labels[v]
-        m = index[v]
+    for m in reversed(_search_order(g)):
+        a = label[m]
         in_m = inn[m]
-        out_m = 0 if order_filter else out[m]
-        rows.append((
-            m, in_m, out_m, same[a] if order_filter else 0, a, later[a],
-            _dense(in_m) or _dense(out_m),
-        ))
+        rows.append((m, in_m, out[m], same[a], a, later[a], _dense(in_m)))
         later[a] += 1
     rows.reverse()
     return tuple(rows)
 
 
-def _candidates(g: LabeledDigraph, order: Sequence[NodeId]) -> dict[str, tuple[int, ...]]:
+def _candidates(g: LabeledDigraph) -> dict[str, tuple[int, ...]]:
     """The branches of the order searches on ``g`` as the second graph of
-    a pair: per label, the positions in ``nodes`` of its class in the
-    given ``order`` of all nodes, the candidate images in the order they
-    are tried, then ``-1`` for the skip."""
-    index, labels = g.adjacency_masks[0], g.node_labels
-    classes = _grouped(map(index.__getitem__, order), map(labels.__getitem__, order))
-    return {a: (*js, -1) for a, js in classes.items()}
+    a pair: per label, the positions in ``nodes`` of its class in
+    :func:`_search_order`, the candidate images in the order they are
+    tried, then ``-1`` for the skip."""
+    order = _search_order(g)
+    labels = map(g.node_labels.__getitem__, map(g.nodes.__getitem__, order))
+    return {a: (*js, -1) for a, js in _grouped(order, labels).items()}
 
 
 def _set_graph(g: LabeledDigraph, nodes, labels, edges, masks) -> None:
@@ -770,14 +764,8 @@ def topological_sort(g: LabeledDigraph) -> list[NodeId]:
 def _smallest_first_order(g: LabeledDigraph) -> tuple[NodeId, ...]:
     """Kahn's algorithm on ``g.adjacency_masks``.  A node is ready once none
     of its in-neighbours is left; the heap holds the ready nodes by their
-    rank in id order, so the smallest ready id comes next.
-
-    On a closed DAG the removed nodes only visit their skeleton
-    out-neighbours (``g.skeleton``).  That finds the same ready nodes: the
-    last in-neighbour of ``j`` to go is a skeleton in-neighbour, since a
-    skipped edge ``i -> j`` runs through a later in-neighbour of ``j``."""
+    rank in id order, so the smallest ready id comes next."""
     _, out, inn = g.adjacency_masks
-    step = out if g.skeleton is None else g.skeleton
     nodes = g.nodes
     by_id = sorted(range(len(nodes)), key=nodes.__getitem__)
     rank = [0] * len(nodes)
@@ -793,7 +781,7 @@ def _smallest_first_order(g: LabeledDigraph) -> tuple[NodeId, ...]:
         order.append(nodes[i])
         left ^= bit[i]
         # the heap orders the ready nodes, so any walk order will do
-        x = step[i]
+        x = out[i]
         while x:
             j = x.bit_length() - 1
             x ^= bit[j]

@@ -396,16 +396,17 @@ def _pick_nodes(
     """The shared search behind the three pruned solvers: the best score
     and a matching that realizes it.
 
-    Nodes of ``g`` are processed in a fixed order (topological when the
-    order filter is on); each is mapped to a candidate image (in ``g2``'s
-    topological order when the order filter is on, ascending id otherwise)
-    or skipped, and skipping is allowed only while the per-label target
-    min(|class|, |class'|) stays reachable.  Each edge of ``g`` is decided
-    exactly once, at the moment its later-processed endpoint is handled:
-    realized (score), or dead (an endpoint skipped, or the image pair is
-    not an edge).  ``bound = n_edges - dead`` is therefore an upper bound
-    on any completion of the current branch, and branches that cannot
-    strictly beat the incumbent are cut.  The search ends as soon as the incumbent
+    Nodes of ``g`` are processed in its search order
+    (:func:`core._search_order`, topological on the transitive closures
+    the order filter takes); each is mapped to a candidate image, tried in
+    ``g2``'s search order, or skipped, and skipping is allowed only while
+    the per-label target min(|class|, |class'|) stays reachable.  Each
+    edge of ``g`` is decided exactly once, at the moment its
+    later-processed endpoint is handled: realized (score), or dead (an
+    endpoint skipped, or the image pair is not an edge).
+    ``bound = n_edges - dead`` is therefore an upper bound on any
+    completion of the current branch, and branches that cannot strictly
+    beat the incumbent are cut.  The search ends as soon as the incumbent
     scores ``stop``, an upper bound on the optimum when given: the
     incumbent changes only for a strictly better score, so the witness is
     the one the whole search would return.
@@ -428,10 +429,10 @@ def _pick_nodes(
     - ``a_in`` / ``a_out`` hold the images of its mapped in- /
       out-neighbours, so candidate ``j`` realizes the edges in
       ``a_in & in2[j]`` and ``a_out & out2[j]``.  Each is the sum of
-      ``img_bit`` over a neighbour mask: :func:`core._image` for a node
-      with a dense mask, its walk inline for any other, highest bit
-      first.  Under the order filter every out-neighbour comes later, so
-      ``a_out`` is 0;
+      ``img_bit`` over a neighbour mask: ``a_in`` by :func:`core._image`
+      for a node with a dense in-mask and by its walk inline, highest bit
+      first, for any other; ``a_out`` by :func:`core._image`.  Under the
+      order filter every out-neighbour comes later, so ``a_out`` is 0;
     - ``avail`` holds the candidates that are unused, not dead and (order
       filter) not in-neighbours of the image of a same-label in-neighbour,
       that is, not in ``cross``, the union of ``img_in2`` over those
@@ -439,10 +440,7 @@ def _pick_nodes(
     - ``free`` and ``slack`` serve alg3's image-supply test.
     """
     _, out2, in2 = g2.adjacency_masks
-    if order_filter:
-        rows, branches = g.order_search_rows, g2.order_candidates
-    else:
-        rows, branches = g.node_search_rows, g2.node_candidates
+    branches = g2.candidates
     # per label of g: its branches, its candidates' class, its target
     # min(|class|, |class'|) and the class size beyond target
     sizes2 = g2.label_sizes
@@ -455,8 +453,8 @@ def _pick_nodes(
     # per position: a row of g (see core._search_rows) with its
     # label's entry, where a skip needs the target less the later nodes
     steps = [
-        (m, in_m, out_m, same_m, cand, cls2, target - later, spare, wide)
-        for m, in_m, out_m, same_m, a, later, wide in rows
+        (m, in_m, out_m, same_m if order_filter else 0, cand, cls2, target - later, spare, wide)
+        for m, in_m, out_m, same_m, a, later, wide in g.search_rows
         for cand, cls2, target, spare in (per_label[a],)
     ]
     n = len(steps)
@@ -484,21 +482,17 @@ def _pick_nodes(
         else:
             _, in_m, out_m, same_m, cand, cls2, _, spare, wide = steps[i]
             x = in_m & mapped
-            y = out_m & mapped
             if wide:
                 a_in = _image(x, img_bit)
-                a_out = _image(y, img_bit)
             else:
-                # _image's walk, inline: neither full neighbour mask is dense
-                a_in = a_out = 0
+                # _image's walk, inline: the full in-mask is not dense
+                a_in = 0
                 while x:
                     v = x.bit_length() - 1
                     x ^= bit[v]
                     a_in += img_bit[v]
-                while y:
-                    v = y.bit_length() - 1
-                    y ^= bit[v]
-                    a_out += img_bit[v]
+            y = out_m & mapped
+            a_out = _image(y, img_bit) if y else 0
             cross = 0
             x = in_m & mapped & same_m
             while x:

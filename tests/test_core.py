@@ -278,15 +278,22 @@ class TestLabeledDigraph:
         assert g.label_classes == {"a": ("u", "v", "w", "x")}
 
     def test_label_candidates_sizes_and_masks(self):
-        # insertion order v, b, a, c; alg1's candidates run in id order, the
-        # order searches' in topological order (c before a), each then -1
+        # insertion order v, b, a, c; the search order sorts them by
+        # in-degree minus out-degree, ties in insertion order: v and c
+        # (-1), then b and a (1).  The rows and each label's candidates
+        # run in it, the candidates then -1
         g = LabeledDigraph(
             ("v", "b", "a", "c"),
             {"v": "x", "b": "y", "a": "x", "c": "x"},
             (("v", "b"), ("c", "a")),
         )
-        assert g.node_candidates == {"x": (2, 3, 0, -1), "y": (1, -1)}
-        assert g.order_candidates == {"x": (3, 2, 0, -1), "y": (1, -1)}
+        assert g.search_rows == (
+            (0, 0b0000, 0b0010, 0b1101, "x", 2, False),
+            (3, 0b0000, 0b0100, 0b1101, "x", 1, False),
+            (1, 0b0001, 0b0000, 0b0010, "y", 0, False),
+            (2, 0b1000, 0b0000, 0b1101, "x", 0, False),
+        )
+        assert g.candidates == {"x": (0, 3, 2, -1), "y": (1, -1)}
         assert g.label_sizes == {"x": 3, "y": 1}
         assert g.label_masks == {"x": 0b1101, "y": 0b0010}
 
@@ -739,6 +746,22 @@ class TestOrderUtilities:
     @given(shuffled_dags())
     def test_topological_sort_matches_networkx(self, g):
         assert topological_sort(g) == topological_order_by_networkx(g)
+
+    @given(shuffled_dags(), st.data())
+    def test_search_order_is_topological_on_closed_dags(self, g, data):
+        # the order filter and alg3's dead-image cut rest on this: on a
+        # closed DAG in shuffled node order, every edge goes forward in the
+        # order of the search rows, and each label's candidates follow it
+        labels = {v: data.draw(st.sampled_from("xyz")) for v in g.nodes}
+        closed = LabeledDigraph(g.nodes, labels, transitive_closure(g).edges)
+        order = [row[0] for row in closed.search_rows]
+        assert sorted(order) == list(range(len(g.nodes)))
+        rank = dict(zip(map(closed.nodes.__getitem__, order), itertools.count()))
+        assert all(rank[u] < rank[v] for u, v in closed.edges)
+        label = [labels[closed.nodes[m]] for m in order]
+        assert closed.candidates == {
+            a: (*(m for m, b in zip(order, label) if b == a), -1) for a in set(labels.values())
+        }
 
     def test_order_is_computed_once_per_graph(self, monkeypatch):
         passes = []

@@ -472,11 +472,15 @@ def antichain_poset(shape: str, width: int, against: bool = False) -> PosetDigra
     return build_poset_digraph(elements, relations)
 
 
-def broom(leaves: int) -> LabeledDigraph:
+def broom(leaves: int, against: bool = False) -> LabeledDigraph:
     """One label on a hub ``a`` over ``leaves`` leaves ``l00, l01, ...``,
-    plus the open path a -> b -> c, so no transitive closure."""
-    nodes = ["a", "b", "c", *(f"l{i:02d}" for i in range(leaves))]
-    edges = [("a", "b"), ("b", "c"), *(("a", v) for v in nodes[3:])]
+    plus the open path a -> b -> c, so no transitive closure.  With
+    ``against`` the ids run against the order: the leaves are listed
+    first, and the path is a -> p1 -> p2, whose ids sort after them."""
+    path = ["a", "p1", "p2"] if against else ["a", "b", "c"]
+    leaf = [f"l{i:02d}" for i in range(leaves)]
+    nodes = [*leaf, *path] if against else [*path, *leaf]
+    edges = [(path[0], path[1]), (path[1], path[2]), *(("a", v) for v in leaf)]
     return LabeledDigraph(nodes, dict.fromkeys(nodes, "a"), edges)
 
 
@@ -499,16 +503,24 @@ STALL_PAIRS = {
     for n, m in ((12, 10), (30, 25))
 }
 
-# The poset pairs above with the ids against the order.  The order
-# searches take candidate images in topological order, so alg2 meets the
-# bound as early as on the pairs above; alg1 takes them in id order and
-# still runs for seconds on these pairs.
+# The poset pairs above with the ids against the order, where a search
+# that tries images lowest id first meets no optimum for seconds.  The
+# order searches take nodes and candidate images in their search order, by
+# in-degree minus out-degree, so alg1 and alg2 meet the bound as early as
+# on the pairs above.
 AGAINST_ORDER_PAIRS = {
     f"{shape}-{n}-{m}": (
         antichain_poset(shape, n, against=True),
         antichain_poset(shape, m, against=True),
     )
     for shape in ("V", "Lambda", "diamond")
+    for n, m in ((12, 10), (30, 25))
+}
+
+# The brooms above with the ids against the order: open, so alg1, clique
+# and auto apply.
+AGAINST_ORDER_BROOMS = {
+    f"broom-{n}-{m}": (broom(n, against=True), broom(m, against=True))
     for n, m in ((12, 10), (30, 25))
 }
 
@@ -533,14 +545,25 @@ class TestScreeningBound:
 
     @pytest.mark.parametrize("name", sorted(AGAINST_ORDER_PAIRS))
     def test_alg2_meets_the_bound_with_ids_against_the_order(self, name):
+        # alg1 and auto as well
         p, q = AGAINST_ORDER_PAIRS[name]
         bound = screening_bound(p, q)
-        with capped(1):
-            outcome = dmces_alg2(p, q)
+        for solve in (dmces_alg1, dmces_alg2):
+            with capped(1):
+                outcome = solve(p, q)
+            assert outcome.value == score(p, q, outcome.witness) == bound
         with capped(1):
             result = poset_distance(p, q)
-        assert outcome.value == result.dmces_value == bound
-        assert score(p, q, outcome.witness) == score(p, q, result.witness) == bound
+        assert result.dmces_value == score(p, q, result.witness) == bound
+
+    @pytest.mark.parametrize("name", sorted(AGAINST_ORDER_BROOMS))
+    def test_brooms_meet_the_bound_with_ids_against_the_order(self, name):
+        g, g2 = AGAINST_ORDER_BROOMS[name]
+        bound = screening_bound(g, g2)
+        for solver in ("alg1", "clique", "auto"):
+            with capped(1):
+                result = d_e(g, g2, solver)
+            assert result.dmces_value == score(g, g2, result.witness) == bound
 
     @settings(max_examples=60)
     @given(
