@@ -21,7 +21,9 @@ caches what these routines derive from it: the skip skeleton, the
 structural report and the topological order; and the two tables of the
 order searches that depend on it alone (:func:`_search_rows`,
 :func:`_candidates`), both in its one search order
-(:func:`_search_order`).  The skip skeleton keeps, per node, only the
+(:func:`_search_order`), and the ``compress`` selectors of its dense
+out-masks (:func:`_out_selectors`), read by the witness check and by
+alg1.  The skip skeleton keeps, per node, only the
 out-neighbours that the closure test had to visit; on a transitively
 closed DAG every edge is a path in it, so the chain test works on it
 instead of on every edge.
@@ -200,6 +202,12 @@ class LabeledDigraph:
         return _search_rows(self)
 
     @cached_property
+    def out_selectors(self) -> tuple[bytes | None, ...]:
+        """The :func:`_out_selectors` of the witness check and of alg1,
+        built once per graph object."""
+        return _out_selectors(self)
+
+    @cached_property
     def candidates(self) -> dict[str, tuple[int, ...]]:
         """The :func:`_candidates` of the order searches, read when the
         graph is the second of a pair; built once per graph object."""
@@ -250,7 +258,7 @@ def _search_rows(g: LabeledDigraph) -> tuple[tuple, ...]:
     the first graph of a pair: one per node, in :func:`_search_order`.
     A row holds the node's position in ``nodes``, its in-mask, its
     out-mask, its same-label mask, its label, the number of nodes of its
-    label processed after it, and whether its in-mask is :func:`_dense`."""
+    label processed after it, and the :func:`_selector` of its in-mask."""
     _, out, inn = g.adjacency_masks
     label = list(map(g.node_labels.__getitem__, g.nodes))
     same = g.label_masks
@@ -259,10 +267,16 @@ def _search_rows(g: LabeledDigraph) -> tuple[tuple, ...]:
     for m in reversed(_search_order(g)):
         a = label[m]
         in_m = inn[m]
-        rows.append((m, in_m, out[m], same[a], a, later[a], _dense(in_m)))
+        rows.append((m, in_m, out[m], same[a], a, later[a], _selector(in_m)))
         later[a] += 1
     rows.reverse()
     return tuple(rows)
+
+
+def _out_selectors(g: LabeledDigraph) -> tuple[bytes | None, ...]:
+    """Per node of ``g``, in ``nodes`` order, the :func:`_selector` of its
+    out-mask."""
+    return tuple(map(_selector, g.adjacency_masks[1]))
 
 
 def _candidates(g: LabeledDigraph) -> dict[str, tuple[int, ...]]:
@@ -493,7 +507,8 @@ def _weakly_connected(g: LabeledDigraph) -> bool:
 def _skip_skeleton(out: Sequence[int]) -> tuple[int, ...] | None:
     """The skip test for transitive closure, and the skeleton it leaves.
 
-    For each node ``i``, walk its out-neighbours lowest bit first.  Each
+    For each node ``i``, walk its out-neighbours highest bit first,
+    through the shared bit table of :func:`_bit_table`.  Each
     neighbour ``j`` taken ORs ``out[j]`` into a union and drops ``out[j]``
     from the neighbours left, so only the taken ones cost a step.  Node
     ``i`` passes when the union lies inside ``out[i]`` plus ``i`` itself.
@@ -512,17 +527,19 @@ def _skip_skeleton(out: Sequence[int]) -> tuple[int, ...] | None:
     self-loop or a 2-cycle an open graph can pass, so callers test
     orientation first.
     """
+    bit = _bit_table(len(out))
     skeleton = []
     for i, o in enumerate(out):
         left = o
         union = taken = 0
         while left:
-            low = left & -left
-            below = out[low.bit_length() - 1]
-            taken |= low
+            v = left.bit_length() - 1
+            below = out[v]
+            taken |= bit[v]
             union |= below
-            left &= ~(below | low)
-        if union & ~(o | 1 << i):
+            left ^= bit[v]
+            left ^= left & below
+        if union & ~(o | bit[i]):
             return None
         skeleton.append(taken)
     return tuple(skeleton)
@@ -552,7 +569,9 @@ def _bit_flags(mask: int) -> bytes:
 
 
 def _dense(mask: int) -> bool:
-    """True when :func:`_image` sums over ``mask`` with one ``compress``.
+    """True when a sum of table entries over ``mask`` is cheaper as one
+    C-level ``compress`` by its :func:`_bit_flags` than as :func:`_image`'s
+    walk.  Read only by :func:`_selector`.
 
     ``compress`` costs about as much as walking nine set bits, highest
     first, plus one bit per six positions of the mask's bit length: the
@@ -561,14 +580,22 @@ def _dense(mask: int) -> bool:
     return mask.bit_count() * 6 > mask.bit_length() + 54
 
 
+def _selector(mask: int) -> bytes | None:
+    """The :func:`_bit_flags` of a :func:`_dense` ``mask``, else None.
+
+    The graphs cache it per neighbour mask (:func:`_search_rows`,
+    :func:`_out_selectors`), so a table whose entries are zero outside a
+    node set sums over that set's neighbours within ``mask`` as
+    ``sum(compress(table, selector))``, with no selector built per call."""
+    return _bit_flags(mask) if _dense(mask) else None
+
+
 def _image(mask: int, table: Sequence[int]) -> int:
     """The sum of ``table[i]`` over the set bits ``i`` of ``mask``; the OR
     of them when the entries share no bit, as the image bits of an
-    injective map do.  A :func:`_dense` mask is one C-level ``compress``
-    of ``table`` by its :func:`_bit_flags`; any other walks its set bits,
-    highest first, through the shared bit table."""
-    if _dense(mask):
-        return sum(compress(table, _bit_flags(mask)))
+    injective map do.  It walks the set bits, highest first, through the
+    shared bit table; a dense mask has a cached :func:`_selector`
+    instead."""
     bit = _BIT
     if len(bit) < len(table):
         bit = _bit_table(len(table))

@@ -28,12 +28,15 @@ and alg2 stop once the best score meets the screening bound
 witness; they only skip work.
 
 Node sets are bitmasks over each graph's cached ``adjacency_masks``, and
-a set of nodes of ``g`` is carried through a matching by
-:func:`core._image`: one C-level ``compress`` over a dense mask, a walk
-over its set bits otherwise, highest first through the shared bit table
-of :func:`core._bit_table`.  The search maps each node's mapped
-neighbours this way, and :func:`score`, the witness check of every
-solver, maps each mapped node's out-neighbours, one popcount per pair.
+a node's mapped neighbours are carried through a matching as the sum of
+a table that holds each mapped node's image bit and zero elsewhere.  Over
+a dense neighbour mask that sum is one C-level ``compress`` through the
+selector the graph caches for it (:func:`core._selector`); over any other
+it is a walk of the mapped neighbours, highest bit first through the
+shared bit table of :func:`core._bit_table` (:func:`core._image`).  The
+search sums each node's in-neighbours this way (and alg1 its
+out-neighbours), and :func:`score`, the witness check of every solver,
+each mapped node's out-neighbours, one popcount per pair.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
-from .core import LabeledDigraph, _bit_table, _bits, _image
+from .core import LabeledDigraph, _bit_table, _image
 from .errors import (
     DegenerateInput,
     InvalidMatching,
@@ -145,13 +149,16 @@ def score(g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching) -> int:
     an edge of ``g2``.
 
     Counted per mapped node ``u`` on both graphs' cached
-    ``adjacency_masks``: the image of ``u``'s mapped out-neighbours, one
-    :func:`core._image` of ``out[u]`` within the domain, ANDed with the
-    out-mask of ``phi(u)``.  That is one popcount per pair of ``phi``, and
-    no edge set of ``g2`` is built."""
+    ``adjacency_masks``: the image of ``u``'s mapped out-neighbours, ANDed
+    with the out-mask of ``phi(u)``.  The image bits are zero outside the
+    domain, so over a dense ``out[u]`` the image is one ``compress``
+    through ``g``'s cached out-selector; over any other it is
+    :func:`core._image` of ``out[u]`` within the domain.  That is one
+    popcount per pair of ``phi``, and no edge set of ``g2`` is built."""
     _check_matching(g, g2, phi)
     index, out, _ = g.adjacency_masks
     index2, out2, _ = g2.adjacency_masks
+    selectors = g.out_selectors
     img_bit = [0] * len(out)
     dom = 0
     ends = []
@@ -159,12 +166,15 @@ def score(g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching) -> int:
         u, j = index[v], index2[w]
         img_bit[u] = 1 << j
         dom |= 1 << u
-        ends.append((out[u], out2[j]))
+        ends.append((out[u], out2[j], selectors[u]))
     realized = 0
-    for o, o2 in ends:
-        x = o & dom
-        if x:
-            realized += (o2 & _image(x, img_bit)).bit_count()
+    for o, o2, selector in ends:
+        if selector is not None:
+            realized += (o2 & sum(compress(img_bit, selector))).bit_count()
+        else:
+            x = o & dom
+            if x:
+                realized += (o2 & _image(x, img_bit)).bit_count()
     return realized
 
 
@@ -415,24 +425,31 @@ def _pick_nodes(
     capped by the recursion limit.  It reads what both graphs cache: their
     ``adjacency_masks`` and ``label_sizes``, ``g``'s rows
     (:func:`core._search_rows`), and ``g2``'s candidates per label
-    (:func:`core._candidates`) and ``label_masks``; per pair it only joins
-    them.
+    (:func:`core._candidates`) and ``label_masks``, and for alg1 ``g``'s
+    ``out_selectors``; per pair it only joins them.
     Node sets are bitmasks held by value in the frames: ``used`` and
     ``dead_images`` (alg3's permanently unusable images) of ``g2``,
-    ``mapped`` and ``skipped`` of ``g``.  So backtracking undoes nothing.
-    Mapping ``u`` to ``j`` writes ``img_bit[u] = 1 << j`` and
-    ``img_in2[u] = in2[j]``, read only while ``u`` is in ``mapped``.  A
-    frame serves the node at position ``i``:
+    ``mapped`` and ``skipped`` of ``g``.  So backtracking undoes nothing
+    there.  Mapping ``u`` to ``j`` writes ``img_bit[u] = 1 << j`` and
+    ``img_in2[u] = in2[j]``; ``img_in2[u]`` is read only while ``u`` is in
+    ``mapped``.  ``img_bit[u]`` is non-zero exactly while ``u`` is mapped
+    on the current branch: it is zeroed when ``u`` takes its skip and when
+    its frame is popped, the two stores off the descent path.  A frame
+    serves the node at position ``i``:
 
     - ``cursor`` runs over its candidates, then ``-1`` for the skip;
     - ``bound`` already counts every edge to a processed node as dead;
     - ``a_in`` / ``a_out`` hold the images of its mapped in- /
       out-neighbours, so candidate ``j`` realizes the edges in
       ``a_in & in2[j]`` and ``a_out & out2[j]``.  Each is the sum of
-      ``img_bit`` over a neighbour mask: ``a_in`` by :func:`core._image`
-      for a node with a dense in-mask and by its walk inline, highest bit
-      first, for any other; ``a_out`` by :func:`core._image`.  Under the
-      order filter every out-neighbour comes later, so ``a_out`` is 0;
+      ``img_bit`` over a neighbour mask.  Over a dense mask, by the
+      invariant above, that is ``sum(compress(img_bit, selector))`` over
+      the whole mask, through the selector of ``g``'s row (``a_in``) or of
+      its ``out_selectors`` (``a_out``); over any other it walks the
+      mapped neighbours, highest bit first, inline for ``a_in`` and by
+      :func:`core._image` for ``a_out``.  Under the order filter every
+      out-neighbour comes later, so ``a_out`` is 0 and no out-selector is
+      read;
     - ``avail`` holds the candidates that are unused, not dead and (order
       filter) not in-neighbours of the image of a same-label in-neighbour,
       that is, not in ``cross``, the union of ``img_in2`` over those
@@ -450,17 +467,20 @@ def _pick_nodes(
         size2 = sizes2.get(a, 0)
         target = min(size, size2)
         per_label[a] = (branches.get(a, _SKIP), class2.get(a, 0), target, size2 - target)
+    n = len(g.nodes)
+    out_sels = (None,) * n if order_filter else g.out_selectors
     # per position: a row of g (see core._search_rows) with its
-    # label's entry, where a skip needs the target less the later nodes
+    # label's entry, where a skip needs the target less the later nodes,
+    # and the out-selector of its node
     steps = [
-        (m, in_m, out_m, same_m if order_filter else 0, cand, cls2, target - later, spare, wide)
-        for m, in_m, out_m, same_m, a, later, wide in g.search_rows
+        (m, in_m, out_m, same_m if order_filter else 0, cand, cls2, target - later, spare,
+         in_sel, out_sels[m])
+        for m, in_m, out_m, same_m, a, later, in_sel in g.search_rows
         for cand, cls2, target, spare in (per_label[a],)
     ]
-    n = len(steps)
 
-    # per node of g, written when it is mapped: its image as a bit, and
-    # the in-mask of its image
+    # per node of g, written when it is mapped: its image as a bit (zero
+    # while unmapped), and the in-mask of its image
     img_bit = [0] * n
     img_in2 = [0] * n
     bit = _bit_table(n)
@@ -474,25 +494,29 @@ def _pick_nodes(
             if score > best:
                 best = score
                 best_pairs = tuple(
-                    (g.nodes[u], g2.nodes[img_bit[u].bit_length() - 1])
-                    for u in _bits(mapped)
+                    (g.nodes[u], g2.nodes[b.bit_length() - 1])
+                    for u, b in enumerate(img_bit)
+                    if b
                 )
                 if best == stop:
                     break
         else:
-            _, in_m, out_m, same_m, cand, cls2, _, spare, wide = steps[i]
-            x = in_m & mapped
-            if wide:
-                a_in = _image(x, img_bit)
-            else:
-                # _image's walk, inline: the full in-mask is not dense
+            _, in_m, out_m, same_m, cand, cls2, _, spare, in_sel, out_sel = steps[i]
+            if in_sel is None:
+                # _image's walk, inline
                 a_in = 0
+                x = in_m & mapped
                 while x:
                     v = x.bit_length() - 1
                     x ^= bit[v]
                     a_in += img_bit[v]
-            y = out_m & mapped
-            a_out = _image(y, img_bit) if y else 0
+            else:
+                a_in = sum(compress(img_bit, in_sel))
+            if out_sel is None:
+                y = out_m & mapped
+                a_out = _image(y, img_bit) if y else 0
+            else:
+                a_out = sum(compress(img_bit, out_sel))
             cross = 0
             x = in_m & mapped & same_m
             while x:
@@ -512,9 +536,10 @@ def _pick_nodes(
              a_in, a_out, avail, free, slack) = stack[-1]
             for j in cursor:
                 if j < 0:
-                    m, _, _, _, _, cls2, need, _, _ = steps[i]
+                    m, _, _, _, _, cls2, need, _, _, _ = steps[i]
                     if (used & cls2).bit_count() >= need and bound > best:
                         skipped |= 1 << m
+                        img_bit[m] = 0
                         break
                     continue
                 if not avail >> j & 1:
@@ -537,6 +562,7 @@ def _pick_nodes(
                 mapped |= 1 << m
                 break
             else:
+                img_bit[steps[i][0]] = 0
                 stack.pop()
                 continue
             break

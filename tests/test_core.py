@@ -287,12 +287,14 @@ class TestLabeledDigraph:
             {"v": "x", "b": "y", "a": "x", "c": "x"},
             (("v", "b"), ("c", "a")),
         )
+        # no in-mask here is dense, so no row carries a selector
         assert g.search_rows == (
-            (0, 0b0000, 0b0010, 0b1101, "x", 2, False),
-            (3, 0b0000, 0b0100, 0b1101, "x", 1, False),
-            (1, 0b0001, 0b0000, 0b0010, "y", 0, False),
-            (2, 0b1000, 0b0000, 0b1101, "x", 0, False),
+            (0, 0b0000, 0b0010, 0b1101, "x", 2, None),
+            (3, 0b0000, 0b0100, 0b1101, "x", 1, None),
+            (1, 0b0001, 0b0000, 0b0010, "y", 0, None),
+            (2, 0b1000, 0b0000, 0b1101, "x", 0, None),
         )
+        assert g.out_selectors == (None,) * 4
         assert g.candidates == {"x": (0, 3, 2, -1), "y": (1, -1)}
         assert g.label_sizes == {"x": 3, "y": 1}
         assert g.label_masks == {"x": 0b1101, "y": 0b0010}
@@ -441,9 +443,11 @@ class TestValidateProperties:
 
     def test_two_cycle_passing_the_skip_test_is_not_closed(self):
         # b <-> c: the skip test alone passes every node, though b -> d -> e
-        # has no b -> e; only an oriented graph may rest on it
+        # has no b -> e; only an oriented graph may rest on it.  The walk
+        # goes highest bit first, so d is listed before b and c: b then
+        # takes c first and c takes b, and each covers d
         g = LabeledDigraph(
-            tuple("abcde"),
+            tuple("adbce"),
             dict.fromkeys("abcde", "x"),
             (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
              ("c", "b"), ("c", "d"), ("d", "e")),
@@ -502,6 +506,10 @@ class TestValidateProperties:
             flags = bytes(m >> i & 1 for i in range(max(m.bit_length(), 1)))
             assert core_module._bit_flags(m) == flags
             assert core_module._image(m, table) == image_by_bits(m, table)
+            selector = core_module._selector(m)
+            assert selector == (flags if core_module._dense(m) else None)
+            if selector is not None:
+                assert sum(itertools.compress(table, selector)) == image_by_bits(m, table)
 
     def test_long_path_validates_and_sorts(self, monkeypatch):
         # each walk below starts from an empty shared bit table, so each

@@ -688,14 +688,38 @@ def test_search_outcomes_are_pinned(kind, solver, sizes):
     assert digest.hexdigest() == SEARCH_DIGESTS[kind, solver, sizes]
 
 
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@pytest.mark.parametrize("kind, solver, sizes", SEARCH_DIGESTS)
+def test_search_outcomes_hold_on_either_neighbour_sum(kind, solver, sizes, dense, monkeypatch):
+    """With every neighbour mask forced dense, so that the search and the
+    witness check sum through a cached compress selector over whole masks,
+    and again with every mask forced to the walk, each search reproduces
+    its pinned outcomes and its witnesses score as by definition.  The
+    dense sums hold only while the search's image bits are zero outside
+    the nodes mapped on its branch.  The patch precedes every graph, so no
+    cached selector escapes it."""
+    monkeypatch.setattr(core_module, "_dense", lambda mask: dense)
+    solve = {"alg1": dmces_alg1, "alg2": dmces_alg2, "alg3": dmces_alg3}[solver]
+    digest = hashlib.sha256()
+    for nodes, labels, density, seed in itertools.product(sizes, (2, 3), (0.3, 0.5), (0, 2)):
+        g, g2 = seeded_pair(kind, nodes, labels, density, seed)
+        out = solve(g, g2)
+        digest.update(repr(out).encode())
+        assert score(g, g2, out.witness) == score_by_definition(g, g2, out.witness.mapping)
+        selectors = [row[-1] for row in g.search_rows] + list(g.out_selectors)
+        assert all((s is not None) == dense for s in selectors)
+    assert digest.hexdigest() == SEARCH_DIGESTS[kind, solver, sizes]
+
+
 @pytest.mark.parametrize("solver", ["alg1", "alg2", "alg3"])
 def test_a_graph_builds_its_search_tables_once(solver, monkeypatch):
     """However many partners a graph meets, on either side of a pair and
     for every order search, it builds the rows and the candidates of its
-    search once; the search takes the label targets off the cached class
-    sizes, not from label_budget, and no topological order."""
+    search, and the out-selectors of the witness check, once; the search
+    takes the label targets off the cached class sizes, not from
+    label_budget, and no topological order."""
     built = []
-    for name in ("_search_rows", "_candidates"):
+    for name in ("_search_rows", "_candidates", "_out_selectors"):
         build = getattr(core_module, name)
         monkeypatch.setattr(
             core_module, name, lambda g, build=build: built.append(id(g)) or build(g)
@@ -707,9 +731,9 @@ def test_a_graph_builds_its_search_tables_once(solver, monkeypatch):
     for partner in partners:
         assert d_e(g, partner, solver).solver == solver
         d_e(partner, g, solver)
-    assert sorted(built) == sorted(2 * [id(h) for h in (g, *partners)])
+    assert sorted(built) == sorted(3 * [id(h) for h in (g, *partners)])
     for h in (g, *partners):
-        assert {"search_rows", "candidates"} <= vars(h).keys()
+        assert {"search_rows", "candidates", "out_selectors"} <= vars(h).keys()
         assert "topological_order" not in vars(h)
 
 
