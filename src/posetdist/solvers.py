@@ -29,14 +29,14 @@ witness; they only skip work.
 
 Node sets are bitmasks over each graph's cached ``adjacency_masks``, and
 a node's mapped neighbours are carried through a matching as the sum of
-a table that holds each mapped node's image bit and zero elsewhere.  Over
-a dense neighbour mask that sum is one C-level ``compress`` through the
-selector the graph caches for it (:func:`core._selector`); over any other
-it is a walk of the mapped neighbours, highest bit first through the
-shared bit table of :func:`core._bit_table` (:func:`core._image`).  The
-search sums each node's in-neighbours this way (and alg1 its
-out-neighbours), and :func:`score`, the witness check of every solver,
-each mapped node's out-neighbours, one popcount per pair.
+a table that holds each mapped node's image bit and zero elsewhere
+(:func:`core._image`).  Over a dense neighbour mask that sum is one
+C-level ``compress`` through the selector the graph caches for it
+(:func:`core._selector`); over any other it is a walk of the mapped
+neighbours, highest bit first through the shared bit table of
+:func:`core._bit_table`.  The search sums each node's in-neighbours this
+way, and :func:`score`, the witness check of every solver, each mapped
+node's out-neighbours, one popcount per pair.
 """
 
 from __future__ import annotations
@@ -150,11 +150,11 @@ def score(g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching) -> int:
 
     Counted per mapped node ``u`` on both graphs' cached
     ``adjacency_masks``: the image of ``u``'s mapped out-neighbours, ANDed
-    with the out-mask of ``phi(u)``.  The image bits are zero outside the
-    domain, so over a dense ``out[u]`` the image is one ``compress``
-    through ``g``'s cached out-selector; over any other it is
-    :func:`core._image` of ``out[u]`` within the domain.  That is one
-    popcount per pair of ``phi``, and no edge set of ``g2`` is built."""
+    with the out-mask of ``phi(u)``: :func:`core._image` of ``out[u]``
+    within the domain, through ``g``'s cached out-selector when
+    ``out[u]`` is dense, as the image bits are zero outside the domain.
+    That is one popcount per pair of ``phi``, and no edge set of ``g2`` is
+    built."""
     _check_matching(g, g2, phi)
     index, out, _ = g.adjacency_masks
     index2, out2, _ = g2.adjacency_masks
@@ -169,12 +169,9 @@ def score(g: LabeledDigraph, g2: LabeledDigraph, phi: NodeMatching) -> int:
         ends.append((out[u], out2[j], selectors[u]))
     realized = 0
     for o, o2, selector in ends:
-        if selector is not None:
-            realized += (o2 & sum(compress(img_bit, selector))).bit_count()
-        else:
-            x = o & dom
-            if x:
-                realized += (o2 & _image(x, img_bit)).bit_count()
+        x = o & dom
+        if x:
+            realized += (o2 & _image(x, img_bit, selector)).bit_count()
     return realized
 
 
@@ -425,8 +422,8 @@ def _pick_nodes(
     capped by the recursion limit.  It reads what both graphs cache: their
     ``adjacency_masks`` and ``label_sizes``, ``g``'s rows
     (:func:`core._search_rows`), and ``g2``'s candidates per label
-    (:func:`core._candidates`) and ``label_masks``, and for alg1 ``g``'s
-    ``out_selectors``; per pair it only joins them.
+    (:func:`core._candidates`) and ``label_masks``; per pair it only joins
+    them.
     Node sets are bitmasks held by value in the frames: ``used`` and
     ``dead_images`` (alg3's permanently unusable images) of ``g2``,
     ``mapped`` and ``skipped`` of ``g``.  So backtracking undoes nothing
@@ -442,14 +439,13 @@ def _pick_nodes(
     - ``a_in`` / ``a_out`` hold the images of its mapped in- /
       out-neighbours, so candidate ``j`` realizes the edges in
       ``a_in & in2[j]`` and ``a_out & out2[j]``.  Each is the sum of
-      ``img_bit`` over a neighbour mask.  Over a dense mask, by the
-      invariant above, that is ``sum(compress(img_bit, selector))`` over
-      the whole mask, through the selector of ``g``'s row (``a_in``) or of
-      its ``out_selectors`` (``a_out``); over any other it walks the
-      mapped neighbours, highest bit first, inline for ``a_in`` and by
-      :func:`core._image` for ``a_out``.  Under the order filter every
-      out-neighbour comes later, so ``a_out`` is 0 and no out-selector is
-      read;
+      ``img_bit`` over a neighbour mask.  For a dense in-mask, by the
+      invariant above, ``a_in`` is ``sum(compress(img_bit, selector))``
+      over the whole mask, through the selector of ``g``'s row; for any
+      other it walks the mapped in-neighbours inline, highest bit first.
+      ``a_out`` is :func:`core._image`'s walk of the mapped
+      out-neighbours; under the order filter every out-neighbour comes
+      later, so it is 0;
     - ``avail`` holds the candidates that are unused, not dead and (order
       filter) not in-neighbours of the image of a same-label in-neighbour,
       that is, not in ``cross``, the union of ``img_in2`` over those
@@ -467,17 +463,14 @@ def _pick_nodes(
         size2 = sizes2.get(a, 0)
         target = min(size, size2)
         per_label[a] = (branches.get(a, _SKIP), class2.get(a, 0), target, size2 - target)
-    n = len(g.nodes)
-    out_sels = (None,) * n if order_filter else g.out_selectors
     # per position: a row of g (see core._search_rows) with its
-    # label's entry, where a skip needs the target less the later nodes,
-    # and the out-selector of its node
+    # label's entry, where a skip needs the target less the later nodes
     steps = [
-        (m, in_m, out_m, same_m if order_filter else 0, cand, cls2, target - later, spare,
-         in_sel, out_sels[m])
+        (m, in_m, out_m, same_m if order_filter else 0, cand, cls2, target - later, spare, in_sel)
         for m, in_m, out_m, same_m, a, later, in_sel in g.search_rows
         for cand, cls2, target, spare in (per_label[a],)
     ]
+    n = len(steps)
 
     # per node of g, written when it is mapped: its image as a bit (zero
     # while unmapped), and the in-mask of its image
@@ -501,7 +494,7 @@ def _pick_nodes(
                 if best == stop:
                     break
         else:
-            _, in_m, out_m, same_m, cand, cls2, _, spare, in_sel, out_sel = steps[i]
+            _, in_m, out_m, same_m, cand, cls2, _, spare, in_sel = steps[i]
             if in_sel is None:
                 # _image's walk, inline
                 a_in = 0
@@ -512,11 +505,8 @@ def _pick_nodes(
                     a_in += img_bit[v]
             else:
                 a_in = sum(compress(img_bit, in_sel))
-            if out_sel is None:
-                y = out_m & mapped
-                a_out = _image(y, img_bit) if y else 0
-            else:
-                a_out = sum(compress(img_bit, out_sel))
+            y = out_m & mapped
+            a_out = _image(y, img_bit) if y else 0
             cross = 0
             x = in_m & mapped & same_m
             while x:
@@ -536,7 +526,7 @@ def _pick_nodes(
              a_in, a_out, avail, free, slack) = stack[-1]
             for j in cursor:
                 if j < 0:
-                    m, _, _, _, _, cls2, need, _, _, _ = steps[i]
+                    m, _, _, _, _, cls2, need, _, _ = steps[i]
                     if (used & cls2).bit_count() >= need and bound > best:
                         skipped |= 1 << m
                         img_bit[m] = 0

@@ -508,8 +508,11 @@ class TestValidateProperties:
             assert core_module._image(m, table) == image_by_bits(m, table)
             selector = core_module._selector(m)
             assert selector == (flags if core_module._dense(m) else None)
-            if selector is not None:
-                assert sum(itertools.compress(table, selector)) == image_by_bits(m, table)
+            # through the selector of m, a sub-mask sums as the walk does
+            # when the table is zero on the rest of m
+            sub = m & rng.getrandbits(n)
+            zeroed = [t if sub >> i & 1 else 0 for i, t in enumerate(table)]
+            assert core_module._image(sub, zeroed, selector) == image_by_bits(sub, table)
 
     def test_long_path_validates_and_sorts(self, monkeypatch):
         # each walk below starts from an empty shared bit table, so each
