@@ -17,18 +17,15 @@ masks and checks the edges: an endpoint that is not declared fails its
 index lookup there, and a repeated edge shows as fewer mask bits than
 edges.  Graphs derived from masks (closure, reduction, the poset build)
 are built straight from their out-masks and skip that pass.  A graph
-caches what these routines derive from it: the skip skeleton, the
-structural report and the topological order; and the two tables of the
-order searches that depend on it alone (:func:`_search_rows`,
-:func:`_candidates`), both in its one search order
-(:func:`_search_order`), and the ``compress`` selectors of its dense
-out-masks (:func:`_out_selectors`), read by the witness check.  A
+caches what these routines derive from it: the verdict of the skip test
+for closure, the structural report and the topological order; and the
+two tables of the order searches that depend on it alone
+(:func:`_search_rows`, :func:`_candidates`), both in its one search
+order (:func:`_search_order`), and the ``compress`` selectors of its
+dense out-masks (:func:`_out_selectors`), read by the witness check.  A
 selector takes one byte per position of its mask's bit length, so the
 in- and out-selectors of an n-node total order take about 1.5 * n**2
-bytes, some five times its masks.  The skip skeleton keeps, per node,
-only the out-neighbours that the closure test had to visit; on a
-transitively closed DAG every edge is a path in it, so the chain test
-works on it instead of on every edge.
+bytes, some five times its masks.
 """
 
 from __future__ import annotations
@@ -146,16 +143,12 @@ class LabeledDigraph:
         return dict.fromkeys(self.edges)
 
     @cached_property
-    def skeleton(self) -> tuple[int, ...] | None:
-        """Per node, the mask of the out-neighbours that the skip test of
-        :func:`_skip_skeleton` took, computed once per graph object.  None
-        unless the graph is oriented (so simple too) and passes that test,
-        that is, unless it is a transitively closed DAG; every edge of such
-        a graph is a path in its skeleton."""
+    def closed_dag(self) -> bool:
+        """True iff the graph is oriented (so simple too) and passes the
+        skip test of :func:`_skip_skeleton`, that is, iff it is a
+        transitively closed DAG; computed once per graph object."""
         _, out, inn = self.adjacency_masks
-        if not _is_oriented(out, inn):
-            return None
-        return _skip_skeleton(out)
+        return _is_oriented(out, inn) and _skip_skeleton(out)
 
     @cached_property
     def topological_order(self) -> tuple[NodeId, ...]:
@@ -306,8 +299,8 @@ def _masked(g: LabeledDigraph, out: Sequence[int]) -> LabeledDigraph:
     ``out``.  The edges come from the masks, so there is nothing to check;
     the graph equals ``LabeledDigraph(g.nodes, g.node_labels, edges)``.
     When ``out`` is the out-masks of ``g`` itself, the graph takes the
-    in-masks of ``g`` and, if ``g`` has computed it, its skip skeleton,
-    which depends on the masks alone."""
+    in-masks of ``g`` and, if ``g`` has computed it, its
+    ``closed_dag`` verdict, which depends on the masks alone."""
     nodes = g.nodes
     index, own_out, own_inn = g.adjacency_masks
     same = out is own_out
@@ -315,8 +308,8 @@ def _masked(g: LabeledDigraph, out: Sequence[int]) -> LabeledDigraph:
     h = object.__new__(LabeledDigraph)
     masks = (index, tuple(out), inn)
     _set_graph(h, nodes, dict(g.node_labels), tuple(_edges(nodes, out)), masks)
-    if same and "skeleton" in vars(g):
-        vars(h)["skeleton"] = g.skeleton
+    if same and "closed_dag" in vars(g):
+        vars(h)["closed_dag"] = g.closed_dag
     return h
 
 
@@ -450,18 +443,18 @@ def validate_properties(g: LabeledDigraph) -> PropertyReport:
       (a literal path and the closure of a path both qualify).
 
     Every flag is read off the graph's cached bitmasks,
-    ``g.adjacency_masks``, and its cached skip skeleton, ``g.skeleton``.
-    On an oriented graph the skip test decides closure exactly, and a
-    closed oriented graph is acyclic, so only graphs without a skeleton
-    need the full closure test or Kahn's algorithm.
+    ``g.adjacency_masks``, and its cached skip-test verdict,
+    ``g.closed_dag``.  On an oriented graph the skip test decides closure
+    exactly, and a closed oriented graph is acyclic, so only graphs that
+    are not closed DAGs need the full closure test or Kahn's algorithm.
     """
     index, out, inn = g.adjacency_masks
     n = len(index)
     everything = (1 << n) - 1
-    skeleton = g.skeleton
-    oriented = skeleton is not None or _is_oriented(out, inn)
+    closed_dag = g.closed_dag
+    oriented = closed_dag or _is_oriented(out, inn)
     classes = g.label_masks.values()
-    if skeleton is not None:
+    if closed_dag:
         closed = acyclic = True
         per_label = all(_is_chain(out, c) for c in classes)
     else:
@@ -506,16 +499,16 @@ def _weakly_connected(g: LabeledDigraph) -> bool:
     return n <= 1 or _reach(list(map(or_, out, inn)), 1) == (1 << n) - 1
 
 
-def _skip_skeleton(out: Sequence[int]) -> tuple[int, ...] | None:
-    """The skip test for transitive closure, and the skeleton it leaves.
+def _skip_skeleton(out: Sequence[int]) -> bool:
+    """The skip test for transitive closure, walked along the skip
+    skeleton: per node, the out-neighbours not covered by one taken before.
 
     For each node ``i``, walk its out-neighbours highest bit first,
     through the shared bit table of :func:`_bit_table`.  Each
     neighbour ``j`` taken ORs ``out[j]`` into a union and drops ``out[j]``
     from the neighbours left, so only the taken ones cost a step.  Node
     ``i`` passes when the union lies inside ``out[i]`` plus ``i`` itself.
-    Returns the masks of the taken neighbours, or None at the first node
-    that fails.
+    Returns False at the first node that fails, else True.
 
     A closed graph passes.  On a simple, oriented graph where every node
     passes, the graph is closed, by induction on the out-degree: the claim
@@ -524,27 +517,23 @@ def _skip_skeleton(out: Sequence[int]) -> tuple[int, ...] | None:
     since it has no self-loop and no edge back to ``i``, ``out[k]`` lies
     inside ``out[i]`` minus ``k``, so the claim holds for ``k``.  A skipped
     ``j`` lies in ``out[k]`` for some taken ``k``, so ``out[j]`` lies
-    inside ``out[k]`` plus ``k``, inside ``out[i]``.  The same induction
-    makes every edge a path of taken edges, in any walk order.  With a
+    inside ``out[k]`` plus ``k``, inside ``out[i]``.  With a
     self-loop or a 2-cycle an open graph can pass, so callers test
     orientation first.
     """
     bit = _bit_table(len(out))
-    skeleton = []
     for i, o in enumerate(out):
         left = o
-        union = taken = 0
+        union = 0
         while left:
             v = left.bit_length() - 1
             below = out[v]
-            taken |= bit[v]
             union |= below
             left ^= bit[v]
             left ^= left & below
         if union & ~(o | bit[i]):
-            return None
-        skeleton.append(taken)
-    return tuple(skeleton)
+            return False
+    return True
 
 
 def _is_chain(out: Sequence[int], mask: int) -> bool:
@@ -617,15 +606,14 @@ def _descendants(g: LabeledDigraph) -> Sequence[int]:
     or more edges.  A node on a cycle, a self-loop included, has its own
     bit.
 
-    A graph with a skip skeleton (``g.skeleton``) is a closed DAG, so its
-    out-masks are its descendant masks, and no Kahn pass runs.  On any
-    other DAG the masks are taken along Kahn's order
+    On a closed DAG (``g.closed_dag``) the out-masks are the descendant
+    masks, and no Kahn pass runs.  On any other DAG the masks are taken along Kahn's order
     (:func:`_descendants_along`).  Kahn leaves out every node that a cycle
     reaches, so on a cyclic graph each node gets its mask by a direct
     search instead.
     """
     _, out, inn = g.adjacency_masks
-    if g.skeleton is not None:
+    if g.closed_dag:
         return out
     n = len(out)
     order = _peel(out, inn, (1 << n) - 1)[0]
@@ -721,7 +709,7 @@ def build_poset_digraph(
     pairs are then stripped from its masks, the relation is completed to
     its transitive closure by :func:`_descendants` (a relation that is
     already closed is its own closure: no Kahn pass runs, and the result
-    takes the relation's in-masks and skip skeleton, see :func:`_masked`),
+    takes the relation's in-masks and skip-test verdict, see :func:`_masked`),
     and an edge (p, q) is created for every p <= q with p != q.  The remaining poset
     rules are :class:`PosetDigraph`'s own checks.
 

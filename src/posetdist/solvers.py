@@ -17,15 +17,18 @@ solutions is the quantity every solver here computes:
   score there.
 - :func:`dmces_alg3` additionally tracks permanently unusable image nodes
   when every label class is a chain, cutting branches whose remaining
-  image supply cannot reach the per-label target.
+  image supply cannot reach the per-label target; the dead images also
+  do the work of alg2's same-label filter.
 
 These three are one branch-and-bound search (:func:`_pick_nodes`) that
 keeps its own stack, so no input is too deep for it.  It also carries an
 admissible score bound (a branch is cut when even deciding every remaining
-edge in its favor cannot beat the best score already found), and alg1
-and alg2 stop once the best score meets the screening bound
-(:func:`_screening_bound`).  Neither changes the value or the reported
-witness; they only skip work.
+edge in its favor cannot beat the best score already found).  alg1 and
+alg2 stop once the best score meets the screening bound
+(:func:`_screening_bound`); alg3 stops at a leaf once no frame on its
+stack can branch again, which on equal label class sizes is its first
+leaf.  None of these changes the value or the reported witness; they only
+skip work.
 
 Node sets are bitmasks over each graph's cached ``adjacency_masks``, and
 a node's mapped neighbours are carried through a matching as the sum of
@@ -416,7 +419,14 @@ def _pick_nodes(
     beat the incumbent are cut.  The search ends as soon as the incumbent
     scores ``stop``, an upper bound on the optimum when given: the
     incumbent changes only for a strictly better score, so the witness is
-    the one the whole search would return.
+    the one the whole search would return.  alg3 (``path_budget``) also
+    ends at a leaf where every frame on the stack is *forced*: pushed with
+    no spare image (``slack <= 0``) and a skip that cannot meet the target
+    (``used`` holds fewer than ``need`` images of its class, and a frame's
+    ``used`` never changes).  Of two free candidates ``j1`` below ``j2`` of
+    a chain class, ``j1`` lies in ``in2[j2] & free``, so with no slack at
+    most one candidate passes the image-supply test: a forced frame has one
+    branch at most, and that leaf is the last.
 
     The search runs depth-first on an explicit stack, so its depth is not
     capped by the recursion limit.  It reads what both graphs cache: their
@@ -446,11 +456,15 @@ def _pick_nodes(
       ``a_out`` is :func:`core._image`'s walk of the mapped
       out-neighbours; under the order filter every out-neighbour comes
       later, so it is 0;
-    - ``avail`` holds the candidates that are unused, not dead and (order
-      filter) not in-neighbours of the image of a same-label in-neighbour,
+    - ``avail`` holds the candidates that are unused, not dead and (alg2
+      only) not in-neighbours of the image of a same-label in-neighbour,
       that is, not in ``cross``, the union of ``img_in2`` over those
-      neighbours, walked the same way;
-    - ``free`` and ``slack`` serve alg3's image-supply test.
+      neighbours, walked the same way.  alg3's rows carry no same-label
+      mask: mapping a neighbour to ``j`` made the free images of
+      ``in2[j]`` dead, so ``cross`` holds no free image there;
+    - ``free`` and ``slack`` serve alg3's image-supply test;
+    - ``unforced`` counts the frames on the stack up to this one that are
+      not forced.
     """
     _, out2, in2 = g2.adjacency_masks
     branches = g2.candidates
@@ -466,7 +480,8 @@ def _pick_nodes(
     # per position: a row of g (see core._search_rows) with its
     # label's entry, where a skip needs the target less the later nodes
     steps = [
-        (m, in_m, out_m, same_m if order_filter else 0, cand, cls2, target - later, spare, in_sel)
+        (m, in_m, out_m, same_m if order_filter and not path_budget else 0,
+         cand, cls2, target - later, spare, in_sel)
         for m, in_m, out_m, same_m, a, later, in_sel in g.search_rows
         for cand, cls2, target, spare in (per_label[a],)
     ]
@@ -480,8 +495,9 @@ def _pick_nodes(
     best = -1
     best_pairs: tuple[tuple[str, str], ...] = ()
     stack: list[tuple] = []
-    # the branch entered next
+    # the branch entered next, and the unforced frames on the stack
     i, score, bound, used, dead_images, mapped, skipped = 0, 0, len(g.edges), 0, 0, 0, 0
+    unforced = 0
     while True:
         if i == n:
             if score > best:
@@ -493,8 +509,10 @@ def _pick_nodes(
                 )
                 if best == stop:
                     break
+            if path_budget and not unforced:
+                break
         else:
-            _, in_m, out_m, same_m, cand, cls2, _, spare, in_sel = steps[i]
+            _, in_m, out_m, same_m, cand, cls2, need, spare, in_sel = steps[i]
             if in_sel is None:
                 # _image's walk, inline
                 a_in = 0
@@ -516,14 +534,17 @@ def _pick_nodes(
             bound -= ((in_m | out_m) & (mapped | skipped)).bit_count()
             free = cls2 & ~used & ~dead_images
             slack = spare - (dead_images & cls2).bit_count()
+            # alg3's forced frame: no spare image, and its skip falls short
+            if not (path_budget and slack <= 0 and (used & cls2).bit_count() < need):
+                unforced += 1
             stack.append((
                 i, iter(cand), score, bound, used, dead_images, mapped, skipped,
-                a_in, a_out, free & ~cross, free, slack,
+                a_in, a_out, free & ~cross, free, slack, unforced,
             ))
         # the next branch: the top frame's next candidate, else its skip
         while stack:
             (i, cursor, score, bound, used, dead_images, mapped, skipped,
-             a_in, a_out, avail, free, slack) = stack[-1]
+             a_in, a_out, avail, free, slack, unforced) = stack[-1]
             for j in cursor:
                 if j < 0:
                     m, _, _, _, _, cls2, need, _, _ = steps[i]

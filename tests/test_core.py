@@ -453,8 +453,8 @@ class TestValidateProperties:
              ("c", "b"), ("c", "d"), ("d", "e")),
         )
         _, out, _ = g.adjacency_masks
-        assert core_module._skip_skeleton(out) is not None
-        assert g.skeleton is None
+        assert core_module._skip_skeleton(out)
+        assert not g.closed_dag
         assert not g.report.is_transitively_closed
         assert g.report == report_by_networkx(g)
 
@@ -468,17 +468,9 @@ class TestValidateProperties:
                 topological_sort(g)
 
     @given(edited_closures())
-    def test_skeleton_spans_every_edge_of_a_closed_dag(self, g):
-        # a skeleton exists exactly on closed DAGs; it keeps a subset of
-        # the edges whose closure is the whole graph
+    def test_skip_test_passes_exactly_the_closed_dags(self, g):
         r = g.report
-        closed_dag = r.is_oriented and r.is_transitively_closed
-        assert (g.skeleton is not None) == closed_dag
-        if closed_dag:
-            kept = transitive_closure(
-                LabeledDigraph(g.nodes, g.node_labels, core_module._edges(g.nodes, g.skeleton))
-            )
-            assert set(kept.edges) == set(g.edges)
+        assert g.closed_dag == (r.is_oriented and r.is_transitively_closed)
 
     @given(st.data())
     def test_edges_of_masks_match_a_bit_by_bit_read(self, data):
@@ -678,7 +670,7 @@ class TestBuildPoset:
         assert len(calls) == 1
         fresh = LabeledDigraph(built.nodes, built.node_labels, built.edges)
         assert built.adjacency_masks == fresh.adjacency_masks
-        assert built.skeleton == fresh.skeleton
+        assert built.closed_dag is fresh.closed_dag is True
         assert built.report == fresh.report
 
     @given(loopfree_digraphs())
@@ -826,7 +818,7 @@ class TestOrderUtilities:
         given_closed = LabeledDigraph(
             g.nodes, g.node_labels, data.draw(st.permutations(closed.edges))
         )
-        assert given_closed.skeleton is not None
+        assert given_closed.closed_dag
         assert list(transitive_closure(given_closed).edges) == closure_by_networkx(g)
         assert list(transitive_reduction(given_closed).edges) == reduction_by_networkx(g)
 

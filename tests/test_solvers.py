@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posetdist.core as core_module
 import posetdist.solvers as solvers_module
@@ -430,6 +431,49 @@ class TestAlg3:
         assert outcome_is_consistent(g, g2, out)
 
     @given(
+        st.integers(3, 12),
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.booleans(),
+        st.sampled_from((0.3, 0.45, 0.6)),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=60)
+    def test_agrees_on_unequal_class_sizes(self, n, shorter, labels, drop, density, seed):
+        # a second graph with fewer nodes, and maybe a label fewer: some
+        # frames have spare images, so the search may branch past its first
+        # leaf and take its skips
+        g = generate_instance("path-closure", n, labels, density, seed)
+        g2 = generate_instance(
+            "path-closure", max(2, n - shorter), max(1, labels - drop), density, seed + 1
+        )
+        for a, b in ((g, g2), (g2, g)):
+            out = dmces_alg3(a, b)
+            assert out.value == dmces_alg2(a, b).value
+            if n <= 8 and matching_count(a, b) <= _BRUTE_MATCHINGS:
+                assert out.value == dmces_bruteforce(a, b).value
+
+    def test_equal_class_sizes_end_at_the_first_leaf(self):
+        # with equal class sizes every frame is forced: it has no spare
+        # image and cannot skip, so the first leaf is the only one and no
+        # frame's cursor reaches its skip sentinel
+        g, g2 = seeded_pair("path-closure", 20, 3, 0.3, 0)
+        assert g.label_sizes == g2.label_sizes
+        skips = []
+
+        class Counted(tuple):
+            def __iter__(self):
+                for j in tuple.__iter__(self):
+                    if j < 0:
+                        skips.append(j)
+                    yield j
+
+        expected = dmces_alg2(g, g2).value
+        vars(g2)["candidates"] = {a: Counted(c) for a, c in g2.candidates.items()}
+        assert dmces_alg3(g, g2).value == expected
+        assert skips == []
+
+    @given(
         seeded_graphs("path-closure", 3, 8),
         seeded_graphs("path-closure", 3, 8),
     )
@@ -677,6 +721,25 @@ SEARCH_DIGESTS = {
     ("path-closure", "alg3", (8, 10, 12, 14, 16)):
         "f21aee20d7ea3c22147d687d70e5c991b147ea11221777d45adb5000d9621927",
 }
+
+
+# SHA-256 over repr of alg3's outcome on path-closure pairs of unequal
+# node counts, both ways round: a graph of n nodes against one of n - 1
+# and n - 2 nodes with as many labels, and of n - 1 nodes with a label
+# fewer, over n (8, 12, 16) x labels (2, 3) x density (0.3, 0.5) x seed
+# (0, 2).  Their label classes differ in size, so frames have spare images.
+UNEQUAL_ALG3_DIGEST = "01a2ac2bd67dc400c221a142a544393182edec84456e5f822c6b3fcee4ecf950"
+
+
+def test_alg3_outcomes_on_unequal_class_sizes_are_pinned():
+    digest = hashlib.sha256()
+    for n, labels, density, seed in itertools.product((8, 12, 16), (2, 3), (0.3, 0.5), (0, 2)):
+        g = generate_instance("path-closure", n, labels, density, seed)
+        for n2, labels2 in ((n - 1, labels), (n - 2, labels), (n - 1, labels - 1)):
+            g2 = generate_instance("path-closure", n2, labels2, density, seed + 1)
+            digest.update(repr(dmces_alg3(g, g2)).encode())
+            digest.update(repr(dmces_alg3(g2, g)).encode())
+    assert digest.hexdigest() == UNEQUAL_ALG3_DIGEST
 
 
 @pytest.mark.parametrize("kind, solver, sizes", SEARCH_DIGESTS)
